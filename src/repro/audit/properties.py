@@ -21,10 +21,6 @@ satisfy by construction:
 * ``scenario_roundtrip`` — a fuzzed :class:`repro.scenario.ScenarioSpec`
   survives its JSON round-trip unchanged, and two deployments built from
   it by the composition root replay identically.
-* ``scheduler_equivalence`` — the same seeded scenario executed under the
-  binary-heap and calendar-queue schedulers produces bit-identical
-  request logs (the pluggable scheduler changes *how fast* events pop,
-  never *which order* they pop in).
 * ``fault_conservation`` — under an injected fault (VM crash, tier
   partition, latency spike, broker outage, slow node) with any shipped
   resilience policy, every submitted request completes, fails, or is
@@ -528,59 +524,6 @@ def _check_scenario(params: Dict[str, Any], seed: int, **_: Any) -> PropertyResu
 
 
 # ---------------------------------------------------------------------------
-# scheduler_equivalence
-# ---------------------------------------------------------------------------
-
-def _gen_sched_equiv(rng: np.random.Generator) -> Dict[str, Any]:
-    return {
-        "workload": str(rng.choice(["rubbos", "batched"])),
-        "users": int(rng.integers(10, 41)),
-        "duration": round(float(rng.uniform(4.0, 10.0)), 2),
-        "demand_scale": round(float(rng.uniform(1.0, 5.0)), 2),
-        "batches": int(rng.integers(1, 5)),
-    }
-
-
-def _check_sched_equiv(params: Dict[str, Any], seed: int, **_: Any) -> PropertyResult:
-    import hashlib
-
-    from repro.scenario import Deployment, ScenarioSpec
-
-    digests: Dict[str, str] = {}
-    completed: Dict[str, int] = {}
-    for scheduler in ("heap", "calendar"):
-        spec = ScenarioSpec(
-            seed=seed,
-            demand_scale=float(params["demand_scale"]),
-            scheduler=scheduler,
-            workload=str(params["workload"]),
-            users=int(params["users"]),
-            batches=int(params["batches"]),
-            duration=float(params["duration"]),
-        )
-        with Deployment(spec) as dep:
-            dep.run()
-        completed[scheduler] = dep.system.completed_count()
-        log = json.dumps(dep.system.request_log, sort_keys=True,
-                         separators=(",", ":"))
-        digests[scheduler] = hashlib.sha256(log.encode("utf-8")).hexdigest()
-
-    failures: List[str] = []
-    if digests["heap"] != digests["calendar"]:
-        failures.append(
-            f"schedulers diverged: heap {digests['heap'][:12]} "
-            f"({completed['heap']} completed) vs calendar "
-            f"{digests['calendar'][:12]} ({completed['calendar']} completed)"
-        )
-    return PropertyResult(
-        passed=not failures,
-        failures=failures,
-        details={"digest": digests["heap"][:16],
-                 "completed": completed["heap"]},
-    )
-
-
-# ---------------------------------------------------------------------------
 # fault_conservation
 # ---------------------------------------------------------------------------
 
@@ -956,14 +899,6 @@ PROPERTIES: Dict[str, AuditProperty] = {
             check=_check_scenario,
             floors={"users": 5, "duration": 2.0, "demand_scale": 1.0},
             weight=1.0,
-        ),
-        AuditProperty(
-            name="scheduler_equivalence",
-            generate=_gen_sched_equiv,
-            check=_check_sched_equiv,
-            floors={"users": 5, "duration": 2.0, "demand_scale": 1.0,
-                    "batches": 1},
-            weight=1.5,
         ),
         AuditProperty(
             name="shard_conservation",

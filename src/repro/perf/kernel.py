@@ -26,13 +26,12 @@ made of:
     Fig 5 race — the same scenario the same-seed digest regression test
     pins bit-for-bit (see :func:`fig5_scenario` / :func:`autoscale_digest`).
 
-A separate *scale* section exercises the million-user path (ROADMAP
-item 1): ``fig5-100k`` / ``fig5-1m`` replay the Large Variation trace over
-a :class:`~repro.workload.batched.BatchedPopulation` under the calendar-
-queue scheduler at 10⁵ and 10⁶ users respectively (see
-:func:`fig5_scale_scenario`).  The 10⁶ variant is the acceptance run the
-committed baseline records — a full Large Variation trace at a million
-users in minutes, impossible with per-user sessions.
+A separate *scale* section exercises the million-user path:
+``fig5-100k`` / ``fig5-1m`` replay the Large Variation trace over a
+:class:`~repro.workload.batched.BatchedPopulation` at 10⁵ and 10⁶ users
+respectively (see :func:`fig5_scale_scenario`).  The 10⁶ variant is the
+acceptance run the committed baseline records — a full Large Variation
+trace at a million users in minutes, impossible with per-user sessions.
 
 Wall-clock reads in this module are benchmark telemetry only — they are
 what is being *measured* — and never feed back into simulation results,
@@ -219,8 +218,8 @@ def bench_fig5(quick: bool) -> Tuple[int, float]:
 def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
                         seed: int = 0):
     """A Large-Variation replay at ``max_users`` via the million-user path:
-    batched aggregate population + calendar-queue scheduler, no monitoring
-    (pure workload/kernel pressure)."""
+    batched aggregate population, no monitoring (pure workload/kernel
+    pressure)."""
     from repro.scenario import ScenarioSpec
     from repro.workload import large_variation
 
@@ -229,7 +228,6 @@ def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
         soft="1000/100/80",
         seed=seed,
         monitoring=False,
-        scheduler="calendar",
         workload="batched-trace",
         max_users=max_users,
         think_time=3.0,

@@ -35,9 +35,9 @@ on: a slower runner lowers both numerator and denominator, so only a
 *kernel* regression moves the ratio.
 
 Schema v2 adds the ``scale`` section: batched Large-Variation replays on
-the million-user path (calendar-queue scheduler + batched populations,
-sanitizer disarmed).  ``fig5-100k`` runs in every mode and backs the CI
-gate via ``headline.scale_normalized``; ``fig5-1m`` — the full 10⁶-user,
+the million-user path (batched populations, sanitizer disarmed).
+``fig5-100k`` runs in every mode and backs the CI gate via
+``headline.scale_normalized``; ``fig5-1m`` — the full 10⁶-user,
 600-simulated-second trace — runs in full mode only and is the committed
 baseline's proof that a million-user Large Variation trace completes in
 minutes.

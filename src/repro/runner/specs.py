@@ -585,15 +585,10 @@ class AutoscaleSpec(_SpecBase):
     think_time: float = 3.0
     online_refit: bool = True
     preparation_periods: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Kernel pending-event structure ("heap" / "calendar"); a pure perf
-    #: knob — same-seed results are bit-identical under either.
-    scheduler: str = "heap"
 
     def __post_init__(self) -> None:
         if self.controller not in ("dcm", "ec2", "predictive"):
             raise ConfigurationError(f"unknown controller {self.controller!r}")
-        if self.scheduler not in ("heap", "calendar"):
-            raise ConfigurationError(f"unknown scheduler {self.scheduler!r}")
         if isinstance(self.initial_soft, str):
             object.__setattr__(
                 self, "initial_soft", SoftResourceConfig.parse(self.initial_soft)
@@ -639,11 +634,13 @@ class AutoscaleSpec(_SpecBase):
             "online_refit": self.online_refit,
             "preparation_periods": None if self.preparation_periods is None
             else dict(self.preparation_periods),
-            "scheduler": self.scheduler,
         }
 
     @classmethod
     def from_json_obj(cls, obj: Dict[str, Any]) -> "AutoscaleSpec":
+        from repro.scenario.spec import check_legacy_scheduler
+
+        check_legacy_scheduler(obj)
         models = obj.get("models")
         return cls(
             controller=obj["controller"],
@@ -664,7 +661,6 @@ class AutoscaleSpec(_SpecBase):
             online_refit=obj["online_refit"],
             preparation_periods=None if obj.get("preparation_periods") is None
             else dict(obj["preparation_periods"]),
-            scheduler=obj.get("scheduler", "heap"),
         )
 
 

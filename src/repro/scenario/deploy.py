@@ -60,7 +60,6 @@ def build_system(
     balancer_policy: str = "least_conn",
     mysql_contention: Optional[ContentionModel] = None,
     tomcat_contention: Optional[ContentionModel] = None,
-    scheduler: str = "heap",
     cache: Optional[CacheSpec] = None,
     sharding: Optional[ShardingSpec] = None,
 ) -> Tuple[Environment, NTierSystem]:
@@ -69,15 +68,13 @@ def build_system(
     ``mysql_contention`` / ``tomcat_contention`` override the calibrated
     ground-truth contention models when given (``None`` keeps the
     defaults) — the thrash ablation runs the substrate with the quadratic
-    law only.  ``scheduler`` picks the kernel's pending-event structure
-    (``heap`` / ``calendar``); same-seed runs are bit-identical under
-    either.  ``cache`` adds a cache-aside tier in front of MySQL;
+    law only.  ``cache`` adds a cache-aside tier in front of MySQL;
     ``sharding`` replaces ``hardware.db`` with consistent-hash shards of
     one primary + N read replicas behind a :class:`ShardRouter`.  Both are
     ``None`` by default, which keeps stateless topologies — and their
     golden digests — bit-identical.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     streams = RandomStreams(seed)
     cat = catalog or browse_only_catalog(
         demand_distribution=demand_distribution, demand_scale=demand_scale
@@ -141,7 +138,6 @@ class Deployment:
             balancer_policy=spec.balancer_policy,
             mysql_contention=spec.mysql_contention,
             tomcat_contention=spec.tomcat_contention,
-            scheduler=spec.scheduler,
             cache=spec.cache,
             sharding=spec.sharding,
         )

@@ -9,8 +9,7 @@ implements the state-dependent processor sharing that embodies the paper's
 multi-threading service-time model.
 """
 
-from repro.sim.calqueue import CalendarQueue
-from repro.sim.core import SCHEDULERS, Environment
+from repro.sim.core import Environment
 from repro.sim.events import (
     Condition,
     Event,
@@ -26,7 +25,6 @@ from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Acquire",
-    "CalendarQueue",
     "Condition",
     "ContentionProcessor",
     "Environment",
@@ -35,7 +33,6 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "SCHEDULERS",
     "Store",
     "StoreGet",
     "Timeout",

@@ -22,49 +22,40 @@ Performance notes
 :meth:`Environment.run` is the kernel's innermost loop — every simulated
 event in every experiment passes through it — so it inlines the work of
 :meth:`step` (heap pop, clock advance, callback dispatch) with
-function-local bindings instead of calling ``self.step()`` per event, and
-splits into a guard-free fast loop when there is no ``until`` bound.
-:meth:`step` keeps the identical one-event semantics for callers that
-single-step.  The monotonic-clock sanitizer guard reads a module-level
-boolean (``_CLOCK_CHECK``) kept current by a :func:`repro.check.config.subscribe`
-callback rather than calling ``config.active("clock")`` per event; ``run``
-binds it to a loop-local once on entry, so (dis)arming the sanitizer takes
-effect at the next ``run``/``step`` call.
+function-local bindings instead of calling ``self.step()`` per event.
+There is exactly one dispatch loop: an unbounded run is a bounded one
+with ``stop_time = inf``.  :meth:`step` keeps the identical one-event
+semantics for callers that single-step.  The monotonic-clock sanitizer
+guard reads a module-level boolean (``_CLOCK_CHECK``) kept current by a
+:func:`repro.check.config.subscribe` callback rather than calling
+``config.active("clock")`` per event; ``run`` binds it to a loop-local
+once on entry, so (dis)arming the sanitizer takes effect at the next
+``run``/``step`` call.
 
 A still-``PENDING`` event popped off the heap is, by construction, a
 :class:`Process` placeholder for its own first resume (see
-``Process.__init__``); the dispatch loops recognise it and call
+``Process.__init__``); the dispatch loop recognises it and calls
 ``Process._start`` directly.  Consequently only *triggered* events may be
 passed to :meth:`schedule`.
 
-Pluggable schedulers
---------------------
-The pending-event set behind the environment is pluggable
-(``Environment(scheduler=...)``): the default ``"heap"`` keeps the binary
-heap and its dedicated inlined loops untouched, while ``"calendar"`` swaps
-in :class:`repro.sim.calqueue.CalendarQueue` — amortised O(1) instead of
-O(log n) per event, the scaling fix for million-user populations.  Both
-orderings are identical (entries are the same ``(when, priority, seq,
-event)`` tuples), so same-seed runs are bit-identical under either; the
-``scheduler_equivalence`` audit property and the golden-digest tests hold
-this line.  A scheduler *instance* exposing ``push``/``pop``/``peek``/
-``__len__`` may also be injected directly.
+The pending-event set is a plain ``heapq`` list of ``(when, priority,
+seq, event)`` tuples.  An amortised-O(1) bucket queue was tried as an
+alternative and lost to the C ``heapq`` on every workload measured (see
+DESIGN.md, "Million-user scale"), so the heap is the only structure.
 
 Defused first-resume placeholders (see :meth:`Process.interrupt`) stay in
-the pending set until their timestamp is reached (*lazy deletion*); the
+the heap until their timestamp is reached (*lazy deletion*); the
 environment counts them in ``_dead`` so :attr:`queue_size` and :meth:`peek`
 report only live events.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Iterable, Optional
 
 from repro.check import config as _checks
 from repro.errors import InvariantViolation, SimulationError
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.events import (
     NORMAL,
     PENDING,
@@ -78,9 +69,6 @@ from repro.sim.events import (
 )
 
 _INF = float("inf")
-
-#: Registry-style names accepted by ``Environment(scheduler=...)``.
-SCHEDULERS = ("heap", "calendar")
 
 #: Cached ``config.active("clock")``; re-resolved whenever the sanitizer
 #: configuration changes.
@@ -109,54 +97,22 @@ class Environment:
     Parameters
     ----------
     initial_time:
-        Simulated time at which the clock starts (seconds).
-    scheduler:
-        Pending-event structure: ``"heap"`` (default binary heap, dedicated
-        inlined dispatch loops), ``"calendar"`` (adaptive
-        :class:`~repro.sim.calqueue.CalendarQueue`, amortised O(1) per
-        event), or a scheduler instance exposing
-        ``push``/``pop``/``peek``/``__len__``.  Event ordering — and hence
-        every same-seed digest — is identical across schedulers.  ``None``
-        (the default) resolves through the ``REPRO_SCHEDULER`` environment
-        variable, falling back to ``"heap"`` — this is how CI runs the
-        whole suite under the calendar queue without touching call sites;
-        code that must pin an ordering structure passes it explicitly.
+        Simulated time at which the clock starts (seconds); must be finite.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: Union[str, Any, None] = None,
-    ) -> None:
-        self._now = float(initial_time)
+    def __init__(self, initial_time: float = 0.0) -> None:
+        now = float(initial_time)
+        if not -_INF < now < _INF:  # rejects NaN as well as +/-inf
+            raise SimulationError(
+                f"initial_time must be finite, got {initial_time!r}"
+            )
+        self._now = now
         self._seq = 0
         #: Defused-but-still-queued entries awaiting lazy deletion.
         self._dead = 0
         self._active_proc: Optional[Process] = None
         self._active_event: Optional[Event] = None
-        self._heap: Optional[list[tuple[float, int, int, Event]]]
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "heap")  # repro: noqa[DCM006]
-        if scheduler == "heap":
-            self._heap = []
-            self._scheduler = None
-        elif scheduler == "calendar":
-            self._heap = None
-            self._scheduler = CalendarQueue(on_purge=self._note_purge)
-        elif all(hasattr(scheduler, a) for a in ("push", "pop", "peek", "__len__")):
-            self._heap = None
-            self._scheduler = scheduler
-            if hasattr(scheduler, "on_purge"):
-                scheduler.on_purge = self._note_purge
-        else:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS} "
-                "or pass an instance with push/pop/peek/__len__"
-            )
-
-    def _note_purge(self, _entry: Any) -> None:
-        """Scheduler callback: one lazily-deleted dead entry left the queue."""
-        self._dead -= 1
+        self._heap: list[tuple[float, int, int, Event]] = []
 
     # -- clock & introspection ----------------------------------------------
     @property
@@ -181,9 +137,7 @@ class Environment:
         Defused first-resume placeholders awaiting lazy deletion are
         excluded — callers see only events that can still fire.
         """
-        heap = self._heap
-        stored = len(heap) if heap is not None else len(self._scheduler)
-        return stored - self._dead
+        return len(self._heap) - self._dead
 
     # -- event construction ---------------------------------------------------
     def event(self) -> Event:
@@ -221,12 +175,7 @@ class Environment:
                 f"(delay={delay!r})"
             )
         self._seq += 1
-        entry = (self._now + delay, priority, self._seq, event)
-        heap = self._heap
-        if heap is None:
-            self._scheduler.push(entry)
-        else:
-            heappush(heap, entry)
+        heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next *live* scheduled event, or ``inf`` if none remain.
@@ -236,9 +185,6 @@ class Environment:
         which simulation state can actually change.
         """
         heap = self._heap
-        if heap is None:
-            head = self._scheduler.peek()
-            return head[0] if head is not None else _INF
         while heap:
             head = heap[0]
             event = head[3]
@@ -252,14 +198,9 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event, advancing the clock to its fire time."""
         heap = self._heap
-        if heap is None:
-            if self._scheduler.peek() is None:
-                raise SimulationError("step() on an empty event queue")
-            when, _prio, _seq, event = self._scheduler.pop()
-        else:
-            if not heap:
-                raise SimulationError("step() on an empty event heap")
-            when, _prio, _seq, event = heappop(heap)
+        if not heap:
+            raise SimulationError("step() on an empty event heap")
+        when, _prio, _seq, event = heappop(heap)
         if when < self._now and _CLOCK_CHECK:
             raise _clock_violation(self._now, when)
         self._now = when
@@ -290,10 +231,8 @@ class Environment:
 
         The time bound is **inclusive**: events scheduled exactly at
         ``until`` execute before the call returns, and the clock lands on
-        ``until`` afterwards.  This boundary is pinned by tests for every
-        dispatch loop (heap fast/bounded and scheduler-generic) so
-        alternative schedulers cannot drift from it.  ``until=inf`` is
-        equivalent to unbounded; NaN is rejected.
+        ``until`` afterwards.  ``until=inf`` is equivalent to unbounded;
+        NaN is rejected.
         """
         stop_event: Optional[Event] = None
         stop_time = _INF
@@ -308,13 +247,11 @@ class Environment:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        # Hot loop: inlined step() with local bindings.  The unbounded case
-        # (no stop event, no stop time) runs a dedicated loop without the
-        # per-event stop checks.  Both loops are semantically identical to
-        # step(); event states are the literal PENDING=0 / PROCESSED=2.
+        # Hot loop: inlined step() with local bindings, semantically
+        # identical to step(); event states are the literal PENDING=0 /
+        # PROCESSED=2.  With no bound, stop_time is inf and the head check
+        # never fires.
         heap = self._heap
-        if heap is None:
-            return self._run_scheduler(stop_event, stop_time)
         pop = heappop
         clock_check = _CLOCK_CHECK  # resolved once per run() entry
         now = self._now
@@ -322,32 +259,6 @@ class Environment:
         # written at points where user code can observe it (process resume,
         # callback dispatch, an escaping exception) and once when the loop
         # ends.  Events with no observers never pay the attribute store.
-        if stop_event is None and stop_time == float("inf"):
-            while heap:
-                when, _prio, _seq, event = pop(heap)
-                if clock_check and when < now:
-                    self._now = now
-                    raise _clock_violation(now, when)
-                now = when
-                if event._state == 0:
-                    self._now = now
-                    event._start()
-                    continue
-                event._state = 2
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    self._now = now
-                    self._active_event = event
-                    for callback in callbacks:
-                        callback(event)
-                    self._active_event = None
-                elif not event._ok and isinstance(event, Process):
-                    self._now = now
-                    raise event._value
-            self._now = now
-            return None
-
         while heap:
             if stop_event is not None and stop_event._state == 2:
                 break
@@ -355,62 +266,6 @@ class Environment:
                 self._now = stop_time
                 return None
             when, _prio, _seq, event = pop(heap)
-            if clock_check and when < now:
-                self._now = now
-                raise _clock_violation(now, when)
-            now = when
-            if event._state == 0:
-                self._now = now
-                event._start()
-                continue
-            event._state = 2
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                self._now = now
-                self._active_event = event
-                for callback in callbacks:
-                    callback(event)
-                self._active_event = None
-            elif not event._ok and isinstance(event, Process):
-                self._now = now
-                raise event._value
-        self._now = now
-
-        if stop_event is not None:
-            if stop_event._state != PROCESSED:
-                raise SimulationError("run() ended before its `until` event fired")
-            if not stop_event._ok:
-                raise stop_event._value
-            return stop_event._value
-        if stop_time != float("inf") and self._now < stop_time:
-            self._now = stop_time
-        return None
-
-    def _run_scheduler(self, stop_event: Optional[Event], stop_time: float) -> Any:
-        """Dispatch loop for pluggable schedulers (calendar queue, injected).
-
-        Semantically identical to the heap loops in :meth:`run` — same
-        inclusive ``until`` boundary, same PENDING-placeholder handling, same
-        failed-process surfacing — but driven through the generic
-        ``peek``/``pop`` interface.  ``peek`` purges dead entries, so this
-        loop never dispatches a defused placeholder (the heap loops instead
-        let ``Process._start`` no-op on them; neither path runs user code,
-        keeping the two observationally identical).
-        """
-        sched = self._scheduler
-        clock_check = _CLOCK_CHECK  # resolved once per run() entry
-        now = self._now
-        while True:
-            if stop_event is not None and stop_event._state == 2:
-                break
-            head = sched.peek()
-            if head is None:
-                break
-            if head[0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _prio, _seq, event = sched.pop()
             if clock_check and when < now:
                 self._now = now
                 raise _clock_violation(now, when)

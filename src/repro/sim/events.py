@@ -28,11 +28,6 @@ its slots inline rather than chaining ``super().__init__``, and
 of the public properties.  A new :class:`Process` consumes one heap entry
 (its own first resume, scheduled directly) and allocates **no**
 initialisation event.
-
-Every direct push site honours the environment's pluggable scheduler: when
-``env._heap`` is ``None`` the entry goes through ``env._scheduler.push``
-instead (see :mod:`repro.sim.calqueue`); the default heap mode pays only a
-single extra ``is None`` test per push.
 """
 
 from __future__ import annotations
@@ -122,11 +117,7 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, priority, seq, self))
-        else:
-            heappush(heap, (env._now, priority, seq, self))
+        heappush(env._heap, (env._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -140,11 +131,7 @@ class Event:
         self._state = TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, priority, seq, self))
-        else:
-            heappush(heap, (env._now, priority, seq, self))
+        heappush(env._heap, (env._now, priority, seq, self))
         return self
 
     # -- internal -----------------------------------------------------------
@@ -177,11 +164,7 @@ class Timeout(Event):
         self._state = TRIGGERED
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now + delay, NORMAL, seq, self))
-        else:
-            heappush(heap, (env._now + delay, NORMAL, seq, self))
+        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
 
 
 class _InitSentinel:
@@ -229,11 +212,7 @@ class Process(Event):
         # sequence-number consumption matches the old init-event scheme
         # exactly, so same-seed event ordering is unchanged.
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, URGENT, seq, self))
-        else:
-            heappush(heap, (env._now, URGENT, seq, self))
+        heappush(env._heap, (env._now, URGENT, seq, self))
 
     @property
     def is_alive(self) -> bool:
@@ -286,19 +265,14 @@ class Process(Event):
         wakeup._state = TRIGGERED
         wakeup.callbacks.append(self._resume)
         env._seq = seq = env._seq + 1
-        heap = env._heap
-        if heap is None:
-            env._scheduler.push((env._now, URGENT, seq, wakeup))
-        else:
-            heappush(heap, (env._now, URGENT, seq, wakeup))
+        heappush(env._heap, (env._now, URGENT, seq, wakeup))
 
     # -- internal -----------------------------------------------------------
     def _start(self) -> None:
         """First resume, invoked by the kernel's dispatch loop."""
         if self._defused:
             # The dead placeholder just left the queue: settle the lazy-
-            # deletion ledger (calendar-queue purges go through on_purge
-            # instead and never reach here).
+            # deletion ledger.
             self.env._dead -= 1
         else:
             self._resume(_INIT)

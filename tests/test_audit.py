@@ -71,7 +71,6 @@ class TestProperties:
             "seed_permutation",
             "store_conservation",
             "scenario_roundtrip",
-            "scheduler_equivalence",
             "fault_conservation",
             "shard_conservation",
         }

@@ -149,9 +149,8 @@ class TestErrorCodes:
 # ---------------------------------------------------------------------------
 class TestClock:
     def _rogue_heap(self, initial_time=10.0, when=4.0):
-        # White-box: plants a past-dated entry directly in the binary heap,
-        # so pin scheduler="heap" regardless of the ambient REPRO_SCHEDULER.
-        env = Environment(initial_time=initial_time, scheduler="heap")
+        # White-box: plants a past-dated entry directly in the binary heap.
+        env = Environment(initial_time=initial_time)
         rogue = env.event()
         rogue.succeed(None)
         env._heap.clear()

@@ -202,6 +202,15 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             AutoscaleSpec(controller="magic")
 
+    def test_legacy_scheduler_key_accepted_and_dropped(self):
+        spec = AutoscaleSpec(controller="ec2", max_users=20)
+        obj = spec.to_json_obj()
+        for legacy in ("heap", "calendar"):
+            assert AutoscaleSpec.from_json_obj(
+                dict(obj, scheduler=legacy)) == spec
+        with pytest.raises(ConfigurationError, match="splay"):
+            AutoscaleSpec.from_json_obj(dict(obj, scheduler="splay"))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             spec_from_json(json.dumps({"kind": "nope"}))

@@ -7,6 +7,7 @@ it has an accepting member, and the v4 scenario schema must round-trip
 with older payloads still accepted.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -284,6 +285,37 @@ class TestSchemaV4:
         decoded = ScenarioSpec.from_json_obj(obj)
         assert decoded == spec
         assert decoded.cache is None and decoded.sharding is None
+
+    @staticmethod
+    def _log_digest(spec):
+        with Deployment(spec) as dep:
+            dep.run()
+        log = json.dumps(dep.system.request_log, sort_keys=True,
+                         separators=(",", ":"))
+        return hashlib.sha256(log.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("schema", ["repro-scenario/3", "repro-scenario/4"])
+    def test_legacy_calendar_scheduler_key_runs_on_the_heap(self, schema):
+        # Specs written while the kernel had a second pending-event
+        # structure name it; the key is dropped and the run is unchanged.
+        spec = ScenarioSpec(workload="batched", users=20, batches=2,
+                            duration=5.0, seed=4)
+        obj = spec.to_json_obj()
+        assert "scheduler" not in obj
+        obj["schema"] = schema
+        obj["scheduler"] = "calendar"
+        if schema == "repro-scenario/3":
+            for field in ("cache", "sharding", "write_fraction"):
+                obj.pop(field)
+        decoded = ScenarioSpec.from_json_obj(obj)
+        assert decoded == spec
+        assert self._log_digest(decoded) == self._log_digest(spec)
+
+    def test_legacy_scheduler_key_with_bogus_value_rejected(self):
+        obj = ScenarioSpec(workload="rubbos", users=10).to_json_obj()
+        obj["scheduler"] = "splay"
+        with pytest.raises(ConfigurationError, match="splay"):
+            ScenarioSpec.from_json_obj(obj)
 
     def test_key_population_mismatch_rejected_at_spec(self):
         with pytest.raises(ConfigurationError):
