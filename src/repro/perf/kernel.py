@@ -204,15 +204,16 @@ def autoscale_digest(run) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def bench_fig5(quick: bool) -> Tuple[int, float]:
-    """End-to-end Fig-5-shaped run; ops = kernel events scheduled."""
+def bench_fig5(quick: bool) -> Tuple[int, float, int]:
+    """End-to-end Fig-5-shaped run: ``(events scheduled, seconds,
+    completed requests)``."""
     spec = fig5_scenario(
         demand_scale=FIG5_DEMAND_SCALE * (2.0 if quick else 1.0)
     )
     start = perf_counter()  # repro: noqa[DCM001] -- benchmark timing
     run = run_fig5(spec)
     elapsed = perf_counter() - start  # repro: noqa[DCM001] -- benchmark timing
-    return run.system.env._seq, elapsed
+    return run.system.env.events_scheduled, elapsed, len(run.request_log)
 
 
 def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
@@ -238,9 +239,10 @@ def fig5_scale_scenario(max_users: int, duration: Optional[float] = None,
     )
 
 
-def bench_fig5_scale(max_users: int,
-                     duration: Optional[float] = None) -> Tuple[int, float]:
-    """Run one batched Large-Variation replay; ops = kernel events."""
+def bench_fig5_scale(max_users: int, duration: Optional[float] = None
+                     ) -> Tuple[int, float, int]:
+    """Run one batched Large-Variation replay: ``(events scheduled,
+    seconds, completed requests)``."""
     from repro.scenario import Deployment
 
     spec = fig5_scale_scenario(max_users, duration)
@@ -248,15 +250,15 @@ def bench_fig5_scale(max_users: int,
     with Deployment(spec) as dep:
         dep.run()
     elapsed = perf_counter() - start  # repro: noqa[DCM001] -- benchmark timing
-    return dep.env._seq, elapsed
+    return dep.env.events_scheduled, elapsed, len(dep.system.request_log)
 
 
-def bench_fig5_100k() -> Tuple[int, float]:
+def bench_fig5_100k() -> Tuple[int, float, int]:
     """The CI-sized scale bench: 10⁵ users, 60 s horizon."""
     return bench_fig5_scale(FIG5_100K_USERS, FIG5_100K_DURATION)
 
 
-def bench_fig5_1m() -> Tuple[int, float]:
+def bench_fig5_1m() -> Tuple[int, float, int]:
     """The acceptance-sized scale bench: 10⁶ users, full 600 s trace."""
     return bench_fig5_scale(FIG5_1M_USERS)
 

@@ -131,6 +131,18 @@ class Environment:
         return self._active_event
 
     @property
+    def events_scheduled(self) -> int:
+        """Number of events scheduled on this environment since it was made.
+
+        Every heap push counts once: a triggered event, a timeout, a
+        process's first resume, an interrupt wakeup.  An event a component
+        dispatches in place without queueing it (a lone processor
+        completion, see :mod:`repro.sim.processor`) does not count.  Dividing
+        by completed requests gives the kernel's events per request.
+        """
+        return self._seq
+
+    @property
     def queue_size(self) -> int:
         """Number of *live* events currently scheduled.
 
@@ -196,7 +208,14 @@ class Environment:
         return _INF
 
     def step(self) -> None:
-        """Process exactly one event, advancing the clock to its fire time."""
+        """Process exactly one event, advancing the clock to its fire time.
+
+        One step may also run a second event's callbacks: a
+        :class:`~repro.sim.processor.ContentionProcessor` whose completion
+        timer finds exactly one job done, with nothing else due at that
+        instant, dispatches the job's ``done`` event in place, exactly as
+        the next step would have.
+        """
         heap = self._heap
         if not heap:
             raise SimulationError("step() on an empty event heap")

@@ -134,13 +134,6 @@ class Event:
         heappush(env._heap, (env._now, priority, seq, self))
         return self
 
-    # -- internal -----------------------------------------------------------
-    def _mark_processed(self) -> list[Callable[["Event"], None]]:
-        """Flip to PROCESSED and detach the callback list (kernel use only)."""
-        self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks or [], None
-        return callbacks
-
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""

@@ -18,20 +18,45 @@ processor sharing: all active jobs accrue virtual work at the same rate, so a
 job submitted when the accrued virtual work was ``V0`` completes when the
 accrued work reaches ``V0 + work``.  Completion order is then a priority
 queue on that threshold, and every arrival/departure costs ``O(log n)``.
+
+Performance notes
+-----------------
+Every request pays for several arrivals and completions here, so the
+completion path is kept lean without changing a single float or the order
+of any event:
+
+* **Per-n coefficients.**  ``phi(n)``, ``phi(n)*slowdown``, the rate and the
+  two gauge coefficients are computed once per concurrency level and cached
+  until :meth:`ContentionProcessor.set_slowdown`; :meth:`_advance` is left
+  with one division and a few multiply-adds, the same float operations in
+  the same order as computing them afresh.
+* **Closure-free timers.**  Every completion timer calls one bound method
+  made in ``__init__``; a timer superseded by a later arrival or departure
+  recognises itself by identity (``timer is not self._timer``) and returns.
+* **In-place dispatch of a lone completion.**  When exactly one job
+  completes and no other event is due at the current instant, the kernel's
+  next step would pop that job's ``done`` event and run its callbacks.
+  :meth:`_on_timer` does exactly that in place instead of pushing ``done``
+  onto the heap only to pop it again, so the event order is unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, PENDING, PROCESSED, TRIGGERED, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 _EPS = 1e-12
+_INF = float("inf")
+
+#: Per-concurrency coefficients: ``(phi(n), phi(n)*slowdown, rate, util
+#: coefficient, eff coefficient)``.
+_Coef = tuple[float, float, float, float, float]
 
 
 class ContentionProcessor:
@@ -69,11 +94,15 @@ class ContentionProcessor:
         self._last_update = env.now  # last wall-clock at which _virtual advanced
         self._jobs: list[tuple[float, int, Event]] = []  # (threshold, seq, done)
         self._seq = 0
-        self._timer_generation = 0
+        # The armed completion timer, or None with no job in service.  A
+        # timer that fires while not armed was superseded and does nothing.
+        self._timer: Optional[Event] = None
+        self._on_timer_cb = self._on_timer  # one bound method for every timer
         # Degradation multiplier on the effective inflation (SlowNode fault).
         # Exactly 1.0 multiplies through without changing any float (IEEE
         # guarantees x*1.0 == x), so the healthy path stays bit-identical.
         self._slowdown = 1.0
+        self._coef: dict[int, _Coef] = {}  # n -> coefficients; see _coefficients
 
         # Monitoring accumulators.
         self._util_integral = 0.0    # integral of min(1, n/n_peak) dt
@@ -91,8 +120,13 @@ class ContentionProcessor:
             val = float(self._inflation_fn(n))
             if n == 1 and abs(val - 1.0) > 1e-9:
                 raise SimulationError(f"inflation(1) must be 1.0, got {val}")
-            if val < 1.0 - 1e-9:
-                raise SimulationError(f"inflation({n}) = {val} < 1 is unphysical")
+            # One chained comparison: a bare ``val < 1`` lets NaN through,
+            # and a NaN phi arms zero-delay timers forever.
+            if not 1.0 - 1e-9 <= val < _INF:
+                raise SimulationError(
+                    f"inflation({n}) = {val} is unphysical "
+                    f"(must be finite and >= 1)"
+                )
             self._phi_cache[n] = val
         return val
 
@@ -185,10 +219,13 @@ class ContentionProcessor:
         """Degrade (or restore) the CPU: effective inflation is
         ``phi(n) * factor``.  Settles accrued work at the old speed first,
         then re-arms the completion timer at the new speed."""
-        if factor < 1.0:
-            raise SimulationError(f"slowdown factor must be >= 1.0, got {factor}")
+        if not 1.0 <= factor < _INF:
+            raise SimulationError(
+                f"slowdown factor must be finite and >= 1.0, got {factor}"
+            )
         self._advance()
         self._slowdown = float(factor)
+        self._coef.clear()
         self._reschedule()
 
     # -- job submission ---------------------------------------------------------
@@ -199,65 +236,98 @@ class ContentionProcessor:
         complete immediately (still via the event queue, preserving FIFO
         causality).
         """
-        if work < 0:
-            raise SimulationError(f"negative work: {work!r}")
+        if not 0.0 <= work < _INF:
+            raise SimulationError(f"negative or non-finite work: {work!r}")
         done = Event(self.env)
         if work == 0.0:
             done.succeed()
             return done
         self._advance()
         self._seq += 1
-        heapq.heappush(self._jobs, (self._virtual + work, self._seq, done))
+        heappush(self._jobs, (self._virtual + work, self._seq, done))
         self._reschedule()
         return done
 
     # -- internals ----------------------------------------------------------------
+    def _coefficients(self, n: int) -> _Coef:
+        """Compute and cache the coefficients for ``n`` jobs in service."""
+        phi = self.phi(n)
+        phis = phi * self._slowdown
+        rate = n / phis
+        eff = rate / self._peak_rate
+        coef = (phi, phis, rate, min(1.0, max(eff, n / self._peak_concurrency)), eff)
+        self._coef[n] = coef
+        return coef
+
     def _advance(self) -> None:
         """Accrue virtual work and monitoring integrals up to ``env.now``."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_update
-        if dt <= 0.0:
-            self._last_update = now
-            return
-        n = len(self._jobs)
-        if n:
-            phi = self.phi(n) * self._slowdown
-            self._virtual += dt / phi
-            rate = n / phi
-            self._util_integral += dt * min(
-                1.0, max(rate / self._peak_rate, n / self._peak_concurrency)
-            )
-            self._eff_integral += dt * (rate / self._peak_rate)
-            self._busy_integral += dt * n
-            self._nonidle_integral += dt
-            self._work_done += dt * rate
         self._last_update = now
+        if dt > 0.0:
+            n = len(self._jobs)
+            if n:
+                _phi, phis, rate, util, eff = (
+                    self._coef.get(n) or self._coefficients(n)
+                )
+                self._virtual += dt / phis
+                self._util_integral += dt * util
+                self._eff_integral += dt * eff
+                self._busy_integral += dt * n
+                self._nonidle_integral += dt
+                self._work_done += dt * rate
 
     def _reschedule(self) -> None:
         """(Re)arm the completion timer for the earliest-finishing job."""
-        self._timer_generation += 1
-        if not self._jobs:
+        jobs = self._jobs
+        if not jobs:
+            self._timer = None
             return
-        generation = self._timer_generation
-        threshold = self._jobs[0][0]
-        n = len(self._jobs)
-        delay = max(0.0, (threshold - self._virtual) * self.phi(n) * self._slowdown)
-        timer = Event(self.env)
-        timer._ok = True
-        timer._state = 1  # TRIGGERED
-        timer.callbacks.append(lambda _ev, gen=generation: self._on_timer(gen))
-        self.env.schedule(timer, delay=delay)
+        n = len(jobs)
+        phi = (self._coef.get(n) or self._coefficients(n))[0]
+        # Left-associated exactly as ``remaining * phi(n) * slowdown`` so a
+        # slowed CPU rounds the same way it always has.
+        delay = (jobs[0][0] - self._virtual) * phi * self._slowdown
+        if delay <= 0.0:
+            delay = 0.0
+        elif not delay < _INF:  # NaN or inf
+            raise SimulationError(
+                f"{self.name or 'processor'}: non-finite completion delay {delay!r}"
+            )
+        env = self.env
+        timer = Event(env)
+        timer._state = TRIGGERED
+        timer.callbacks.append(self._on_timer_cb)
+        self._timer = timer
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env._now + delay, NORMAL, seq, timer))
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
+    def _on_timer(self, timer: Event) -> None:
+        if timer is not self._timer:
             return  # superseded by a later arrival/departure
         self._advance()
+        jobs = self._jobs
+        limit = self._virtual + _EPS * max(1.0, abs(self._virtual)) * 1e3
         completed: list[Event] = []
-        tolerance = _EPS * max(1.0, abs(self._virtual)) * 1e3
-        while self._jobs and self._jobs[0][0] <= self._virtual + tolerance:
-            _thr, _seq, done = heapq.heappop(self._jobs)
-            completed.append(done)
+        while jobs and jobs[0][0] <= limit:
+            completed.append(heappop(jobs)[2])
         self._completions += len(completed)
         self._reschedule()
+        if len(completed) == 1:
+            env = self.env
+            heap = env._heap
+            done = completed[0]
+            if done._state == PENDING and (not heap or heap[0][0] > env._now):
+                # ``done.succeed()`` would make ``done`` the very next event
+                # the kernel pops (nothing else is due now), so dispatch it
+                # here exactly as the kernel would.
+                done._state = PROCESSED
+                callbacks = done.callbacks
+                done.callbacks = None
+                env._active_event = done
+                for callback in callbacks:
+                    callback(done)
+                env._active_event = timer
+                return
         for done in completed:
             done.succeed()

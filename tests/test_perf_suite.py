@@ -25,16 +25,28 @@ def tiny_suite(monkeypatch):
     })
     monkeypatch.setattr(suite, "REPS", (1, 1))
     monkeypatch.setattr(suite, "CALIBRATION_OPS", (10_000, 10_000))
-    monkeypatch.setattr(kernel, "bench_fig5", lambda quick: (1_000, 0.01))
-    monkeypatch.setattr(kernel, "bench_fig5_100k", lambda: (2_000, 0.01))
-    monkeypatch.setattr(kernel, "bench_fig5_1m", lambda: (20_000, 0.1))
+    monkeypatch.setattr(kernel, "bench_fig5", lambda quick: (1_000, 0.01, 40))
+    monkeypatch.setattr(kernel, "bench_fig5_100k", lambda: (2_000, 0.01, 80))
+    monkeypatch.setattr(kernel, "bench_fig5_1m", lambda: (20_000, 0.1, 800))
 
 
 def _report(normalized, throughput=1_000_000.0, scale_normalized=None):
+    """A v3 report; ``scale_normalized`` is the gated fig5-100k
+    completed-requests headline."""
     headline = {"event_throughput": throughput, "normalized": normalized}
     if scale_normalized is not None:
-        headline["scale_normalized"] = scale_normalized
+        headline["scale_requests_normalized"] = scale_normalized
     return {"schema": suite.SCHEMA, "headline": headline}
+
+
+def _v2_report(normalized, scale_normalized):
+    """A schema-v2 baseline, whose scale headline counted events/s."""
+    return {
+        "schema": "repro-bench-kernel/2",
+        "headline": {"event_throughput": 1_000_000.0,
+                     "normalized": normalized,
+                     "scale_normalized": scale_normalized},
+    }
 
 
 class TestRunSuite:
@@ -51,8 +63,26 @@ class TestRunSuite:
                 assert row["ops_per_sec"] > 0
         assert report["headline"]["event_throughput"] > 0
         assert report["headline"]["normalized"] > 0
-        assert report["headline"]["scale_normalized"] > 0
+        assert report["headline"]["scale_requests_normalized"] > 0
+        assert "scale_normalized" not in report["headline"]
         assert set(report["scale"]) == {"fig5-100k"}  # quick: no fig5-1m
+
+    def test_end_to_end_rows_count_requests(self, tiny_suite):
+        report = suite.run_suite(quick=True)
+        rows = [report["suites"][label]["fig5-autoscale"]
+                for label in ("disarmed", "armed")]
+        rows.append(report["scale"]["fig5-100k"])
+        for row, (ops, completed) in zip(rows, [(1_000, 40)] * 2
+                                         + [(2_000, 80)]):
+            assert row["completed"] == completed
+            assert row["requests_per_sec"] == pytest.approx(completed / 0.01)
+            assert row["events_per_req"] == pytest.approx(ops / completed)
+        # Micro rows complete no requests.
+        assert "completed" not in report["suites"]["disarmed"]["event-dispatch"]
+        calibration = report["calibration_mops"]
+        assert report["headline"]["scale_requests_normalized"] == (
+            pytest.approx(8_000 / calibration, rel=1e-3)
+        )
 
     def test_full_mode_includes_fig5_1m(self, tiny_suite):
         report = suite.run_suite(quick=False)
@@ -69,6 +99,11 @@ class TestRunSuite:
         path = tmp_path / "bench.json"
         suite.save_report(report, str(path))
         assert suite.load_report(str(path)) == report
+
+    def test_v2_baseline_loads(self, tmp_path):
+        path = tmp_path / "v2.json"
+        suite.save_report(_v2_report(1.0, 0.007), str(path))
+        assert suite.load_report(str(path))["schema"] == "repro-bench-kernel/2"
 
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -104,7 +139,17 @@ class TestCompareReports:
             _report(1.0, scale_normalized=1.0),
         )
         assert len(problems) == 1
-        assert "fig5-100k" in problems[0]
+        assert "fig5-100k completed requests/s" in problems[0]
+
+    def test_v2_baseline_compares_on_dispatch_headline_only(self):
+        # The v2 scale headline counted events/s; serving the same requests
+        # with fewer events must not read as a regression against it.
+        current = _report(1.0, scale_normalized=100.0)
+        assert suite.compare_reports(current, _v2_report(1.0, 1e9)) == []
+        problems = suite.compare_reports(_report(0.5, scale_normalized=100.0),
+                                         _v2_report(1.0, 1e9))
+        assert len(problems) == 1
+        assert "normalized event throughput" in problems[0]
 
     def test_scale_gate_skipped_without_baseline_scale(self):
         # A v2 current report vs a scale-less baseline: only the event

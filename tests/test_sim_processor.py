@@ -243,3 +243,140 @@ def test_conservation_all_submitted_jobs_complete():
     assert cpu.completions == 30
     assert all(d.processed and d.ok for d in done)
     assert cpu.active_jobs == 0
+
+
+# -- bad input fails loudly ----------------------------------------------------
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_inflation_is_rejected(bad):
+    """A NaN phi passed both range checks and armed zero-delay timers
+    forever (the clock never left t=0); it must fail at the first use."""
+    env = Environment()
+    cpu = ContentionProcessor(env, lambda n: 1.0 if n == 1 else bad,
+                              peak_search_limit=4)
+    with pytest.raises(SimulationError):
+        cpu.phi(2)
+    cpu.execute(1.0)
+    with pytest.raises(SimulationError):
+        cpu.execute(1.0)  # n = 2 needs phi(2)
+
+
+@pytest.mark.parametrize("work", [float("nan"), float("inf")])
+def test_non_finite_work_rejected(work):
+    env = Environment()
+    cpu = ContentionProcessor(env, flat)
+    with pytest.raises(SimulationError):
+        cpu.execute(work)
+    assert cpu.active_jobs == 0
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5])
+def test_bad_slowdown_rejected(factor):
+    env = Environment()
+    cpu = ContentionProcessor(env, flat)
+    with pytest.raises(SimulationError):
+        cpu.set_slowdown(factor)
+    assert cpu.slowdown == 1.0
+
+
+# -- the completion path -------------------------------------------------------
+
+def test_lone_completion_dispatches_in_place():
+    """A lone completion with nothing else due runs its waiters at once,
+    as the active event, without queueing ``done`` on the heap."""
+    env = Environment()
+    cpu = ContentionProcessor(env, flat)
+    seen = []
+
+    def waiter(env):
+        done = cpu.execute(1.0)
+        yield done
+        seen.append((env.now, env.active_event is done))
+
+    env.process(waiter(env))
+    env.timeout(5.0)  # keeps the heap non-empty past the completion
+    env.run(until=2.0)
+    assert seen == [(1.0, True)]
+    # Process start, timeout, completion timer and process exit; ``done``
+    # itself is never queued.
+    assert env.events_scheduled == 4
+
+
+def test_completion_tied_with_timeout_runs_after_it():
+    """A timeout queued before the completion instant fires first, exactly
+    as when ``done`` goes through ``succeed()``: in-place dispatch is only
+    taken when nothing else is due now."""
+    env = Environment()
+    cpu = ContentionProcessor(env, flat)
+    order = []
+
+    def job(env):
+        yield cpu.execute(1.0)
+        order.append(("job", env.now))
+
+    def ticker(env):
+        yield env.timeout(1.0)
+        order.append(("timeout", env.now))
+
+    env.process(job(env))
+    env.process(ticker(env))  # its timeout is queued after the CPU timer
+    env.run()
+    assert order == [("timeout", 1.0), ("job", 1.0)]
+
+
+def test_equal_jobs_complete_as_a_batch_in_fifo_order():
+    env = Environment()
+    cpu = ContentionProcessor(env, linear(0.5, 1.0))
+    order = []
+
+    def job(env, name):
+        yield cpu.execute(1.0)
+        order.append((name, env.now))
+
+    for name in "abc":
+        env.process(job(env, name))
+    env.run()
+    # phi(3) = 2: all three finish together at t = 2, in submission order.
+    assert order == [("a", 2.0), ("b", 2.0), ("c", 2.0)]
+    assert cpu.completions == 3
+
+
+def test_run_until_completion_returns_at_it():
+    env = Environment()
+    cpu = ContentionProcessor(env, flat)
+    later = env.timeout(10.0)
+    done = cpu.execute(2.5)
+    assert env.run(until=done) is None
+    assert env.now == 2.5
+    assert done.processed and done.ok
+    assert not later.processed
+
+
+def test_slowdown_mid_job_invalidates_coefficients():
+    """The per-n coefficients cached before a slowdown must not survive
+    it: 1 work-s at full speed, then 1 work-s at half speed."""
+    env = Environment()
+    cpu = ContentionProcessor(env, flat)
+    done = cpu.execute(2.0)
+    env.run(until=1.0)
+    cpu.set_slowdown(2.0)
+    env.run(until=done)
+    assert env.now == pytest.approx(3.0)
+    assert cpu.work_done == pytest.approx(2.0)
+    assert cpu.busy_integral() == pytest.approx(3.0)
+    # Restoring the speed takes effect too.
+    cpu.set_slowdown(1.0)
+    again = cpu.execute(1.0)
+    env.run(until=again)
+    assert env.now == pytest.approx(4.0)
+
+
+def test_fig5_scenario_event_budget():
+    """Deterministic event count of the digest-pinned Fig-5 scenario: the
+    completion path queues at most 260 000 events for its 10 791 requests
+    (320 320 when every completion went through the heap)."""
+    from repro.perf import run_fig5
+
+    run = run_fig5()
+    assert len(run.request_log) == 10_791
+    assert run.system.env.events_scheduled <= 260_000
