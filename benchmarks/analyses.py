@@ -37,7 +37,6 @@ from repro.ntier.contention import (
     ContentionModel,
 )
 from repro.runner import (
-    AutoscaleSpec,
     SteadySpec,
     StressSpec,
     TrainingSpec,
@@ -299,24 +298,38 @@ def fig5_specs():
     models = ground_truth_models(FIG5_SCALE)
     trace = large_variation()
     return [
-        AutoscaleSpec(
-            controller=name, trace=trace, max_users=FIG5_MAX_USERS,
-            seed=FIG5_SEED, demand_scale=FIG5_SCALE, models=models,
+        ScenarioSpec(
+            hardware="1/1/1", seed=FIG5_SEED, demand_scale=FIG5_SCALE,
+            controller=name, models=models, workload="trace", trace=trace,
+            max_users=FIG5_MAX_USERS,
         )
         for name in FIG5_CONTROLLERS
     ]
 
 
+def _report(dep):
+    """The stability report of one autoscale run (a stopped deployment)."""
+    return stability_report(
+        dep.system.request_log, len(dep.system.failure_log), dep.duration,
+        vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
+    )
+
+
+def _records(dep, tier):
+    """All retained metric records for ``tier``, time-sorted."""
+    rows = []
+    for name in dep.collector.servers(tier):
+        rows.extend(dep.collector.recent(name, 0.0))
+    return sorted(rows, key=lambda r: r.timestamp)
+
+
 def fig5(ctx):
-    runs = dict(zip(FIG5_CONTROLLERS, ctx.values))
-    reports = {
-        name: stability_report(r.request_log, r.failed, r.duration,
-                               vm_seconds=r.vm_seconds)
-        for name, r in runs.items()
-    }
+    runs = {name: o.deployment
+            for name, o in zip(FIG5_CONTROLLERS, ctx.values)}
+    reports = {name: _report(dep) for name, dep in runs.items()}
     max_db_conc = {
-        name: max(rec.get("concurrency") for rec in r.records("db"))
-        for name, r in runs.items()
+        name: max(rec.get("concurrency") for rec in _records(dep, "db"))
+        for name, dep in runs.items()
     }
 
     rows = [
@@ -340,15 +353,17 @@ def fig5(ctx):
         title="Fig 5: stability & efficiency under the Large Variation trace",
     )
     for name in ("dcm", "ec2"):
-        run = runs[name]
-        rt = response_time_series(run.request_log, run.duration, 5.0, percentile=95.0)
-        xp = throughput_series(run.request_log, run.duration, 5.0)
-        conc = metric_series(run.records("db"), "concurrency", run.duration, 5.0)
+        dep = runs[name]
+        log, duration = dep.system.request_log, dep.duration
+        rt = response_time_series(log, duration, 5.0, percentile=95.0)
+        xp = throughput_series(log, duration, 5.0)
+        conc = metric_series(_records(dep, "db"), "concurrency", duration, 5.0)
+        timeline = dep.controller.scaling_timeline
         text += f"\n\n[{name}] p95 RT (5s bins): {render_sparkline(rt.values)}"
         text += f"\n[{name}] throughput:       {render_sparkline(xp.values)}"
         text += f"\n[{name}] MySQL conc:       {render_sparkline(conc.values)}"
-        text += "\n" + render_series(f"[{name}] app VMs", run.tier_vm_timeline("app"), precision=0)
-        text += "\n" + render_series(f"[{name}] db VMs", run.tier_vm_timeline("db"), precision=0)
+        text += "\n" + render_series(f"[{name}] app VMs", timeline("app"), precision=0)
+        text += "\n" + render_series(f"[{name}] db VMs", timeline("db"), precision=0)
     dcm = runs["dcm"]
     if dcm.app_agent is not None:
         reallocs = [a for a in dcm.app_agent.actions if a.action == "apply"]
@@ -371,9 +386,9 @@ def fig5(ctx):
     assert max_db_conc["ec2"] >= 120
     assert max_db_conc["dcm"] <= 60
     # --- Both controllers actually scaled out and back in. ---
-    for name, run in runs.items():
-        app_counts = [c for _t, c in run.tier_vm_timeline("app")]
-        db_counts = [c for _t, c in run.tier_vm_timeline("db")]
+    for name, dep in runs.items():
+        app_counts = [c for _t, c in dep.controller.scaling_timeline("app")]
+        db_counts = [c for _t, c in dep.controller.scaling_timeline("db")]
         assert max(app_counts) >= 3, f"{name} must reach 3 Tomcats"
         assert max(db_counts) >= 2, f"{name} must reach 2+ MySQL"
         assert app_counts[-1] < max(app_counts), f"{name} must scale back in"
@@ -503,10 +518,10 @@ def kernel(ctx):
 def overprovision_specs():
     trace = large_variation()
     return [
-        AutoscaleSpec(
-            controller="dcm", trace=trace, max_users=FIG5_MAX_USERS,
-            seed=FIG5_SEED, demand_scale=FIG5_SCALE,
-            models=ground_truth_models(FIG5_SCALE),
+        ScenarioSpec(
+            hardware="1/1/1", seed=FIG5_SEED, demand_scale=FIG5_SCALE,
+            controller="dcm", models=ground_truth_models(FIG5_SCALE),
+            workload="trace", trace=trace, max_users=FIG5_MAX_USERS,
         ),
         ScenarioSpec(
             seed=FIG5_SEED,
@@ -526,18 +541,7 @@ def overprovision_specs():
 
 
 def overprovision(ctx):
-    dcm_run = ctx.value(0)
-    dcm = stability_report(
-        dcm_run.request_log, dcm_run.failed, dcm_run.duration,
-        vm_seconds=dcm_run.vm_seconds,
-    )
-    outcome = ctx.value(1)
-    dep, spec = outcome.deployment, outcome.spec
-    static = stability_report(
-        dep.system.request_log, len(dep.system.failure_log),
-        spec.trace.duration,
-        vm_seconds=dep.hypervisor.billing.vm_seconds(spec.trace.duration),
-    )
+    dcm, static = (_report(o.deployment) for o in ctx.values)
 
     rows = [
         [label, getattr(dcm, attr), getattr(static, attr)]
@@ -586,10 +590,12 @@ def ablation_policy_specs():
     models = ground_truth_models(FIG5_SCALE)
     trace = large_variation()
     return [
-        AutoscaleSpec(
-            controller="dcm", trace=trace, max_users=FIG5_MAX_USERS, seed=7,
-            demand_scale=FIG5_SCALE, models=models,
+        ScenarioSpec(
+            hardware="1/1/1", seed=7, demand_scale=FIG5_SCALE,
+            controller="dcm",
             policy=ScalingPolicy(consecutive_low_periods=lows),
+            models=models, workload="trace", trace=trace,
+            max_users=FIG5_MAX_USERS,
         )
         for _label, lows in POLICY_VARIANTS
     ]
@@ -597,11 +603,11 @@ def ablation_policy_specs():
 
 def ablation_policy(ctx):
     results = {}
-    for (label, _lows), run in zip(POLICY_VARIANTS, ctx.values):
-        report = stability_report(run.request_log, run.failed, run.duration,
-                                  vm_seconds=run.vm_seconds)
+    for (label, _lows), outcome in zip(POLICY_VARIANTS, ctx.values):
+        dep = outcome.deployment
+        report = _report(dep)
         scale_events = sum(
-            1 for e in run.controller.events
+            1 for e in dep.controller.events
             if e.kind in ("scale_out_done", "scale_in_done")
         )
         results[label] = (report, scale_events)

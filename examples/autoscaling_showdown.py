@@ -2,7 +2,8 @@
 """DCM vs EC2-AutoScale on a bursty trace — a compact Fig 5.
 
 Replays the synthetic "Large Variation" trace against both controllers on
-identical systems (same seed, same trace) via the experiment engine and
+identical systems (same seed, same trace), each run one
+:class:`~repro.scenario.ScenarioSpec` through the composition root, and
 prints the stability and efficiency comparison plus the scaling timelines.
 Runs at demand_scale=4 (quarter capacity, quarter request volume — knees
 are scale-invariant) so it finishes in about a minute.
@@ -23,7 +24,7 @@ from repro.analysis.experiments import trained_models
 from repro.analysis.tables import render_sparkline, render_table
 from repro.analysis.timeseries import response_time_series
 from repro.model import ConcurrencyModel
-from repro.runner import AutoscaleSpec, run
+from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import large_variation, sine_trace
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") == "1"
@@ -60,16 +61,21 @@ def main() -> None:
     for controller in ("ec2", "dcm"):
         print(f"running {controller} against the trace "
               f"({trace.duration:.0f} s, peak {max_users} users) ...")
-        spec = AutoscaleSpec(
-            controller=controller, trace=trace, max_users=max_users, seed=7,
-            demand_scale=scale, models=models,
+        spec = ScenarioSpec(
+            hardware="1/1/1", seed=7, demand_scale=scale,
+            controller=controller, models=models,
+            workload="trace", trace=trace, max_users=max_users,
         )
-        runs[controller] = run(spec, jobs=1, cache=False).value
+        with Deployment(spec) as dep:
+            dep.run()
+        runs[controller] = dep
 
     reports = {
-        name: stability_report(r.request_log, r.failed, r.duration,
-                               vm_seconds=r.vm_seconds)
-        for name, r in runs.items()
+        name: stability_report(
+            dep.system.request_log, len(dep.system.failure_log), dep.duration,
+            vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
+        )
+        for name, dep in runs.items()
     }
     rows = [
         [label, getattr(reports["dcm"], attr), getattr(reports["ec2"], attr)]
@@ -88,11 +94,12 @@ def main() -> None:
     print(render_table(["metric", "DCM", "EC2-AutoScale"], rows,
                        title="\n== stability & efficiency =="))
 
-    for name, r in runs.items():
-        rt = response_time_series(r.request_log, r.duration, 5.0, percentile=95.0)
+    for name, dep in runs.items():
+        rt = response_time_series(dep.system.request_log, dep.duration, 5.0,
+                                  percentile=95.0)
         print(f"\n{name} p95 RT over time: {render_sparkline(rt.values)}")
-        print(f"{name} app VMs: {r.tier_vm_timeline('app')}")
-        print(f"{name} db  VMs: {r.tier_vm_timeline('db')}")
+        print(f"{name} app VMs: {dep.controller.scaling_timeline('app')}")
+        print(f"{name} db  VMs: {dep.controller.scaling_timeline('db')}")
     dcm = runs["dcm"]
     if dcm.app_agent is not None:
         print("\nDCM soft-resource re-allocations:")

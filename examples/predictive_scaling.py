@@ -19,7 +19,7 @@ import os
 from repro.analysis import stability_report
 from repro.analysis.tables import render_table
 from repro.model import ConcurrencyModel
-from repro.runner import AutoscaleSpec, run
+from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import WorkloadTrace
 
 QUICK = os.environ.get("REPRO_EXAMPLES_QUICK", "") == "1"
@@ -49,17 +49,20 @@ def main() -> None:
     runs = {}
     for kind in ("dcm", "predictive"):
         print(f"running {kind} on a steady ramp ...")
-        spec = AutoscaleSpec(
-            controller=kind, trace=trace, max_users=max_users, seed=6,
-            demand_scale=SCALE, models=models,
+        spec = ScenarioSpec(
+            hardware="1/1/1", seed=6, demand_scale=SCALE, controller=kind,
+            models=models, workload="trace", trace=trace, max_users=max_users,
         )
-        runs[kind] = run(spec, jobs=1, cache=False).value
+        with Deployment(spec) as dep:
+            dep.run()
+        runs[kind] = dep
 
     rows = []
-    for kind, result in runs.items():
-        rep = stability_report(result.request_log, result.failed, result.duration)
+    for kind, dep in runs.items():
+        rep = stability_report(dep.system.request_log,
+                               len(dep.system.failure_log), dep.duration)
         first_db = min(
-            (t for t, c in result.tier_vm_timeline("db") if c > 1),
+            (t for t, c in dep.controller.scaling_timeline("db") if c > 1),
             default=float("nan"),
         )
         rows.append([kind, first_db, rep.p95_response_time,

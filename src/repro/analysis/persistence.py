@@ -50,29 +50,32 @@ def report_to_dict(report: StabilityReport) -> Dict[str, Any]:
     return asdict(report)
 
 
-def run_to_dict(run, bin_width: float = 5.0) -> Dict[str, Any]:
-    """Serialise an :class:`~repro.analysis.experiments.AutoscaleRun`.
+def run_to_dict(dep, bin_width: float = 5.0) -> Dict[str, Any]:
+    """Serialise an autoscale run: a stopped, controller-driven
+    :class:`~repro.scenario.Deployment`.
 
     Captures the summary report, binned response-time (p95) and throughput
     series, per-tier VM timelines, controller events, and (for DCM runs)
     the soft-resource re-allocation log.  The raw request log is *not*
     included — it is large and reproducible from the seed.
     """
+    request_log, duration = dep.system.request_log, dep.duration
     report = stability_report(
-        run.request_log, run.failed, run.duration, vm_seconds=run.vm_seconds
+        request_log, len(dep.system.failure_log), duration,
+        vm_seconds=dep.hypervisor.billing.vm_seconds(duration),
     )
-    rt = response_time_series(run.request_log, run.duration, bin_width, percentile=95.0)
-    xput = throughput_series(run.request_log, run.duration, bin_width)
+    rt = response_time_series(request_log, duration, bin_width, percentile=95.0)
+    xput = throughput_series(request_log, duration, bin_width)
     reallocations: List[Dict[str, Any]] = []
-    if run.app_agent is not None:
+    if dep.app_agent is not None:
         reallocations = [
             {"time": a.time, "action": a.action, "detail": a.detail}
-            for a in run.app_agent.actions
+            for a in dep.app_agent.actions
         ]
     return {
         "schema_version": SCHEMA_VERSION,
-        "controller": run.controller_name,
-        "duration": run.duration,
+        "controller": dep.spec.controller,
+        "duration": duration,
         "report": report_to_dict(report),
         "series": {
             "bin_width": bin_width,
@@ -80,25 +83,25 @@ def run_to_dict(run, bin_width: float = 5.0) -> Dict[str, Any]:
             "throughput": list(xput.values),
         },
         "vm_timelines": {
-            tier: [[t, c] for t, c in run.tier_vm_timeline(tier)]
+            tier: [[t, c] for t, c in dep.controller.scaling_timeline(tier)]
             for tier in ("app", "db")
         },
         "events": [
             {"time": e.time, "tier": e.tier, "kind": e.kind, "detail": e.detail}
-            for e in run.controller.events
+            for e in dep.controller.events
         ],
         "reallocations": reallocations,
     }
 
 
-def run_artifact(run, bin_width: float = 5.0) -> Dict[str, Any]:
+def run_artifact(dep, bin_width: float = 5.0) -> Dict[str, Any]:
     """An autoscale run as a lab artifact payload (``type="report"``).
 
     Wraps :func:`run_to_dict` for the content-addressed store: the full
     serialised run under ``data`` and the scalar stability-report fields
     as ``metrics`` so ``repro lab diff`` can show per-metric deltas.
     """
-    data = run_to_dict(run, bin_width)
+    data = run_to_dict(dep, bin_width)
     metrics = {
         name: float(value)
         for name, value in data["report"].items()
@@ -107,10 +110,10 @@ def run_artifact(run, bin_width: float = 5.0) -> Dict[str, Any]:
     return {"data": data, "metrics": metrics, "type": "report"}
 
 
-def save_run(run, path: str, bin_width: float = 5.0) -> None:
+def save_run(dep, path: str, bin_width: float = 5.0) -> None:
     """Write an autoscale run's artefact JSON to ``path``."""
     with open(path, "w") as fh:
-        json.dump(run_to_dict(run, bin_width), fh, indent=2)
+        json.dump(run_to_dict(dep, bin_width), fh, indent=2)
 
 
 def load_run(path: str) -> Dict[str, Any]:

@@ -65,12 +65,14 @@ Gives operators the library's main entry points without writing Python:
     entries) and prunes old runs; ``repro lab stats`` prints store
     occupancy.
 
-Every simulation command routes through the experiment engine
-(:mod:`repro.runner`): ``--jobs N`` fans points out over N worker
+``steady``, ``knee``, ``train`` and ``sweep`` route through the experiment
+engine (:mod:`repro.runner`): ``--jobs N`` fans points out over N worker
 processes and ``--no-cache`` disables the on-disk result cache — results
-are bit-identical either way.  Every command accepts ``--seed`` and
-honours determinism; heavy commands accept ``--demand-scale`` (see
-DESIGN.md §2).
+are bit-identical either way.  ``autoscale`` and ``scenario`` run one
+:class:`~repro.scenario.ScenarioSpec` in-process through
+:class:`~repro.scenario.Deployment`; ``predict`` is analytic.  Every
+command accepts ``--seed`` and honours determinism; heavy commands
+accept ``--demand-scale`` (see DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -83,13 +85,12 @@ from typing import List, Optional, Sequence
 
 import repro
 from repro.analysis import stability_report
-from repro.analysis.experiments import build_system, trained_models
+from repro.analysis.experiments import trained_models
 from repro.analysis.persistence import save_curve, save_run
 from repro.analysis.tables import render_sparkline, render_table
 from repro.model import predict_curve, specs_from_system
 from repro.ntier import HardwareConfig, SoftResourceConfig
 from repro.runner import (
-    AutoscaleSpec,
     SteadySpec,
     StressSpec,
     SweepSpec,
@@ -98,6 +99,7 @@ from repro.runner import (
     run_many,
     spec_from_json,
 )
+from repro.scenario import Deployment, ScenarioSpec, build_system
 from repro.workload import large_variation, sine_trace, spike_trace
 
 #: Built-in traces addressable from the CLI.
@@ -143,10 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--demand-scale", type=float, default=1.0,
             help="multiply CPU demands (speed knob; knees invariant)",
         )
-        engine(p)
 
     p = sub.add_parser("steady", help="steady-state run of a fixed topology")
     common(p)
+    engine(p)
     p.add_argument("--hardware", default="1/1/1", help="#W/#A/#D")
     p.add_argument("--soft", default="1000/100/80", help="#W_T/#A_T/#A_C")
     p.add_argument("--users", type=int, default=1500)
@@ -156,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("knee", help="stress one tier across concurrencies")
     common(p)
+    engine(p)
     p.add_argument("--tier", choices=("app", "db"), default="db")
     p.add_argument(
         "--levels", type=_int_list,
@@ -166,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the concurrency-aware model")
     common(p)
+    engine(p)
     p.add_argument("--tier", choices=("app", "db", "both"), default="both")
 
     p = sub.add_parser("predict", help="analytic prediction (no simulation)")
@@ -187,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="population sweep from flags or a spec JSON file"
     )
     common(p)
+    engine(p)
     p.add_argument("--spec", metavar="FILE",
                    help="spec JSON file (overrides the sweep flags)")
     p.add_argument("--users", type=_int_list, default=[100, 400, 1600],
@@ -218,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("trace", help="export or describe a built-in trace")
-    engine(p)
     p.add_argument("--name", choices=sorted(TRACES), default="large_variation")
     p.add_argument("--csv", help="write the trace to this CSV path")
 
@@ -489,29 +493,30 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
     max_users = args.max_users or max(1, int(5920 / args.demand_scale))
     print("training offline models (once per scale) ...", file=sys.stderr)
     models = trained_models(args.demand_scale, args.seed)
-    spec = AutoscaleSpec(
-        controller=args.controller,
-        trace=trace,
-        max_users=max_users,
+    spec = ScenarioSpec(
+        hardware="1/1/1",
         seed=args.seed,
         demand_scale=args.demand_scale,
+        controller=args.controller,
         models=models,
+        workload="trace",
+        trace=trace,
+        max_users=max_users,
     )
-    res = run(spec, **_engine_kwargs(args))
-    the_run = res.value
+    with Deployment(spec) as dep:
+        dep.run()
     report = stability_report(
-        the_run.request_log, the_run.failed, the_run.duration,
-        vm_seconds=the_run.vm_seconds,
+        dep.system.request_log, len(dep.system.failure_log), dep.duration,
+        vm_seconds=dep.hypervisor.billing.vm_seconds(dep.duration),
     )
     print(render_table(
         ["metric", "value"], report.rows(),
         title=f"{args.controller} on {args.trace} ({max_users} peak users)",
     ))
     for tier in ("app", "db"):
-        print(f"{tier} VMs: {the_run.tier_vm_timeline(tier)}")
-    print(res.telemetry.render())
+        print(f"{tier} VMs: {dep.controller.scaling_timeline(tier)}")
     if args.out:
-        save_run(the_run, args.out)
+        save_run(dep, args.out)
         print(f"artefact written to {args.out}")
     return 0
 
@@ -557,7 +562,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenario import Deployment, ScenarioSpec, registries
+    from repro.scenario import registries
 
     if args.list_registries:
         rows = [

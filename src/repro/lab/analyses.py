@@ -262,20 +262,21 @@ def kernel_bench(ctx: AnalysisContext) -> Dict[str, Any]:
 
 @LAB_ANALYSES.register("autoscale_report")
 def autoscale_report(ctx: AnalysisContext) -> Dict[str, Any]:
-    """Serialise each autoscale-run value via
+    """Serialise each controller-driven scenario via
     :func:`repro.analysis.persistence.run_artifact` — the full run
     artefact (series, VM timelines, controller events) under ``data``
     with the stability-report scalars as diffable metrics."""
     from repro.analysis.persistence import run_artifact
 
-    runs = [value for value in ctx.values if hasattr(value, "request_log")]
-    if not runs:
+    deps = [o.deployment for o in ctx.scenario_outcomes()
+            if o.spec.controller is not None]
+    if not deps:
         raise ConfigurationError(
-            f"experiment {ctx.experiment!r} has no autoscale-run values "
-            f"for the autoscale_report analysis"
+            f"experiment {ctx.experiment!r} has no controller-driven "
+            f"scenarios for the autoscale_report analysis"
         )
     bin_width = float(ctx.params.get("bin_width", 5.0))
-    payloads = [run_artifact(run, bin_width=bin_width) for run in runs]
+    payloads = [run_artifact(dep, bin_width=bin_width) for dep in deps]
     metrics: Dict[str, float] = {}
     for i, payload in enumerate(payloads):
         prefix = "" if len(payloads) == 1 else f"[{i}]"

@@ -14,9 +14,10 @@ with :class:`~repro.errors.SchemaError` on load.
 An experiment's ``specs`` list mixes spec kinds freely: objects carrying a
 ``kind`` from :data:`repro.runner.specs.SPEC_KINDS` are runner specs
 (executed through :func:`repro.runner.run_many`); objects carrying a
-``repro-scenario/*`` ``schema`` tag are scenario specs (executed through
-:class:`repro.scenario.Deployment`).  Analysis steps name either a
-built-in from :data:`repro.lab.analyses.LAB_ANALYSES` or any importable
+``repro-scenario/*`` ``schema`` tag, or the older ``kind: "autoscale"``,
+are scenario specs (executed through :class:`repro.scenario.Deployment`).
+Analysis steps name either a built-in from
+:data:`repro.lab.analyses.LAB_ANALYSES` or any importable
 ``"package.module:function"`` dotted reference.
 """
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SchemaError
+from repro.lab.store import canonical_json
 from repro.runner.specs import SPEC_KINDS, _SpecBase
 from repro.scenario.spec import ScenarioSpec
 
@@ -40,20 +42,11 @@ _ACCEPTED_SCHEMAS = (SCHEMA,)
 _NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 
-def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _check_name(name: str, what: str) -> None:
     if not isinstance(name, str) or not _NAME.match(name):
         raise ConfigurationError(
             f"{what} name {name!r} must match {_NAME.pattern}"
         )
-
-
-def spec_to_json_obj(spec: Any) -> Dict[str, Any]:
-    """Encode a runner spec or a :class:`ScenarioSpec` as plain JSON."""
-    return spec.to_json_obj()
 
 
 def spec_from_json_obj(obj: Dict[str, Any]) -> Any:
@@ -64,7 +57,9 @@ def spec_from_json_obj(obj: Dict[str, Any]) -> Any:
     if kind in SPEC_KINDS:
         return SPEC_KINDS[kind].from_json_obj(obj)
     schema = obj.get("schema", "")
-    if isinstance(schema, str) and schema.startswith("repro-scenario/"):
+    if kind == "autoscale" or (
+        isinstance(schema, str) and schema.startswith("repro-scenario/")
+    ):
         return ScenarioSpec.from_json_obj(obj)
     # Pre-fault scenario payloads (schema v1) carried no schema key but do
     # carry the scenario-only field set; require an explicit tag here to
@@ -188,7 +183,7 @@ class ExperimentEntry:
     def to_json_obj(self) -> Dict[str, Any]:
         obj: Dict[str, Any] = {
             "name": self.name,
-            "specs": [spec_to_json_obj(s) for s in self.specs],
+            "specs": [s.to_json_obj() for s in self.specs],
             "analyses": [a.to_json_obj() for a in self.analyses],
         }
         if self.title:
@@ -345,7 +340,7 @@ class SuiteManifest:
 
     def to_json(self) -> str:
         """Canonical JSON text (stable across runs — hash-friendly)."""
-        return _canonical_json(self.to_json_obj())
+        return canonical_json(self.to_json_obj())
 
     def to_json_pretty(self) -> str:
         """Indented JSON for the committed, human-reviewed manifest file."""

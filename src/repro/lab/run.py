@@ -132,13 +132,7 @@ def _analysis_producer(
 
 
 def _spec_keys(entry: ExperimentEntry) -> List[str]:
-    keys = []
-    for spec in entry.specs:
-        if is_scenario_spec(spec):
-            keys.append(artifact_key(spec.to_json_obj()))
-        else:
-            keys.append(spec.cache_key())
-    return keys
+    return [artifact_key(spec.to_json_obj()) for spec in entry.specs]
 
 
 def _record(key: str, payload: Dict[str, Any], type: str, volatile: bool) -> Dict[str, Any]:

@@ -10,7 +10,6 @@ from repro.runner.cache import ResultCache, default_cache_dir, point_key
 from repro.runner.engine import EngineResult, RunTelemetry, run, run_many
 from repro.runner.points import SteadyResult
 from repro.runner.specs import (
-    AutoscaleSpec,
     SPEC_KINDS,
     SteadySpec,
     StressSpec,
@@ -21,7 +20,6 @@ from repro.runner.specs import (
 )
 
 __all__ = [
-    "AutoscaleSpec",
     "EngineResult",
     "ResultCache",
     "RunTelemetry",

@@ -1,7 +1,9 @@
 """The parallel experiment engine.
 
-``run(spec, jobs=..., cache=...)`` is the single entry point every
-benchmark, example, and CLI command routes through.  It
+``run(spec, jobs=..., cache=...)`` executes the runner specs
+(:mod:`repro.runner.specs`: steady points, sweeps, stress, training and
+validation); a :class:`~repro.scenario.ScenarioSpec`, an autoscale run
+included, executes through :class:`repro.scenario.Deployment`.  The engine
 
 1. expands the spec into independent *point payloads* (plain dicts),
 2. answers as many points as possible from the on-disk result cache,
@@ -95,10 +97,9 @@ def run_many(
 ) -> EngineResult:
     """Execute several specs as one shared point pool.
 
-    All shardable points from all specs go through one cache pass and one
-    worker pool, so a heterogeneous benchmark (e.g. two training sweeps
-    plus two capacity probes) saturates the workers; in-process specs
-    (autoscale runs) execute serially afterwards.  ``value`` is the list of
+    All points from all specs go through one cache pass and one worker
+    pool, so a heterogeneous benchmark (e.g. two training sweeps plus two
+    capacity probes) saturates the workers.  ``value`` is the list of
     per-spec values in input order.
 
     ``store`` injects a :class:`~repro.runner.cache.ResultCache` directly
@@ -116,23 +117,14 @@ def run_many(
         jobs=jobs, cache_enabled=cache, cache_dir=store.root if store else None
     )
 
-    # (spec index, entries) where each entry is [payload, key, result slot].
-    sharded: List[Any] = []
-    direct: List[int] = []
-    for si, spec in enumerate(specs):
-        payloads = spec.payloads()
-        if payloads is None:
-            direct.append(si)
-            sharded.append(None)
-            continue
-        sharded.append([[p, point_key(p), None] for p in payloads])
-        telemetry.points += len(payloads)
+    # Per spec, entries of [payload, key, result slot].
+    sharded = [[[p, point_key(p), None] for p in spec.payloads()]
+               for spec in specs]
+    telemetry.points = sum(len(entries) for entries in sharded)
 
     # Cache pass.
     pending = []
     for entries in sharded:
-        if entries is None:
-            continue
         for entry in entries:
             cached = store.get(entry[1]) if store else None
             if cached is not None:
@@ -160,25 +152,11 @@ def run_many(
             if store is not None:
                 store.put(entry[1], entry[0], encoded)
 
-    # Reduce per spec; run in-process specs serially.
-    values: List[Any] = [None] * len(specs)
-    for si, spec in enumerate(specs):
-        entries = sharded[si]
-        if entries is None:
-            t0 = time.perf_counter()  # repro: noqa[DCM001] -- wall-clock telemetry, never reaches results
-            outcome = spec.execute()
-            seconds = time.perf_counter() - t0  # repro: noqa[DCM001] -- telemetry
-            telemetry.points += 1
-            telemetry.cache_misses += 1
-            telemetry.busy_seconds += seconds
-            telemetry.point_seconds.append(seconds)
-            values[si] = spec.reduce([outcome])
-        else:
-            decoded = [
-                decode_result(payload["kind"], encoded)
-                for payload, _key, encoded in entries
-            ]
-            values[si] = spec.reduce(decoded)
+    values = [
+        spec.reduce([decode_result(payload["kind"], encoded)
+                     for payload, _key, encoded in entries])
+        for spec, entries in zip(specs, sharded)
+    ]
 
     telemetry.wall_seconds = time.perf_counter() - start  # repro: noqa[DCM001] -- telemetry
     return EngineResult(value=values, telemetry=telemetry)

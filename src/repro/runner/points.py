@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigurationError
-from repro.ntier.contention import ContentionModel
 from repro.ntier.softconfig import HardwareConfig, SoftResourceConfig
+from repro.scenario.spec import _dec_contention
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class SteadyResult:
 
     steady: Any  # repro.scenario.SteadyState
     server_busy: Dict[str, Tuple[float, ...]]
-
-
-def _dec_contention(obj):
-    return None if obj is None else ContentionModel(**obj)
 
 
 def _execute_steady(payload: Dict[str, Any]) -> Dict[str, Any]:

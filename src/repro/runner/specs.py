@@ -28,17 +28,15 @@ only points whose parameters — or the package version — changed.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.control.policy import ScalingPolicy
 from repro.errors import ConfigurationError
-from repro.model.service_time import ConcurrencyModel
+from repro.lab.store import artifact_key, canonical_json
 from repro.ntier.contention import ContentionModel
 from repro.ntier.softconfig import HardwareConfig, SoftResourceConfig
-from repro.workload.traces import WorkloadTrace
+from repro.scenario.spec import _dec_contention, _enc_contention
 
 #: JMeter levels for model training ("concurrency from 1 to 200").
 TRAINING_LEVELS: Tuple[int, ...] = (
@@ -49,37 +47,6 @@ TRAINING_LEVELS: Tuple[int, ...] = (
 DB_TRAINING_LEVELS: Tuple[int, ...] = (
     1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 36, 44, 55, 65, 80, 90, 100, 110, 120
 )
-
-
-# ---------------------------------------------------------------------------
-# JSON helpers
-# ---------------------------------------------------------------------------
-
-def _canonical_json(obj: Any) -> str:
-    """Stable, compact JSON used for hashing and persistence."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _enc_contention(model: Optional[ContentionModel]) -> Optional[Dict[str, Any]]:
-    if model is None:
-        return None
-    return {"s0": model.s0, "alpha": model.alpha, "beta": model.beta,
-            "delta": model.delta, "knee": model.knee}
-
-
-def _dec_contention(obj: Optional[Dict[str, Any]]) -> Optional[ContentionModel]:
-    return None if obj is None else ContentionModel(**obj)
-
-
-def _enc_model(model: ConcurrencyModel) -> Dict[str, Any]:
-    return {"s0": model.s0, "alpha": model.alpha, "beta": model.beta,
-            "gamma": model.gamma, "tier": model.tier}
-
-
-def _enc_policy(policy: Optional[ScalingPolicy]) -> Optional[Dict[str, Any]]:
-    if policy is None:
-        return None
-    return {f.name: getattr(policy, f.name) for f in fields(policy)}
 
 
 def _freeze_int_seq(seq: Sequence[int], label: str) -> Tuple[int, ...]:
@@ -103,21 +70,14 @@ class _SpecBase:
 
     def to_json(self) -> str:
         """Canonical JSON text for this spec (stable across runs)."""
-        return _canonical_json(self.to_json_obj())
+        return canonical_json(self.to_json_obj())
 
     def cache_key(self) -> str:
         """``sha256(spec JSON + repro.__version__)`` — the spec's identity."""
-        from repro import __version__
+        return artifact_key(self.to_json_obj())
 
-        digest = hashlib.sha256()
-        digest.update(self.to_json().encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(__version__.encode("utf-8"))
-        return digest.hexdigest()
-
-    def payloads(self) -> Optional[List[Dict[str, Any]]]:
-        """Shardable per-point payload dicts, or ``None`` if the spec must
-        execute in-process (see :class:`AutoscaleSpec`)."""
+    def payloads(self) -> List[Dict[str, Any]]:
+        """Shardable per-point payload dicts."""
         raise NotImplementedError
 
     def reduce(self, results: List[Any]) -> Any:
@@ -558,117 +518,11 @@ class ValidationSpec(_SpecBase):
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class AutoscaleSpec(_SpecBase):
-    """One controller replaying one trace — the Fig 5 harness.
-
-    The run's value (:class:`repro.analysis.experiments.AutoscaleRun`)
-    retains the live simulation objects the benchmarks inspect (collector
-    records, scaling timelines, agents), so this spec executes in-process
-    and is not disk-cacheable; the engine runs it serially and reports it
-    as a cache miss in the telemetry.
-    """
-
-    kind: ClassVar[str] = "autoscale"
-
-    controller: str = "dcm"
-    trace: WorkloadTrace = field(
-        default_factory=lambda: WorkloadTrace((0.0, 60.0), (0.5, 0.5))
-    )
-    max_users: int = 100
-    seed: int = 0
-    demand_scale: float = 1.0
-    policy: Optional[ScalingPolicy] = None
-    initial_soft: SoftResourceConfig = SoftResourceConfig.DEFAULT
-    models: Optional[Tuple[Tuple[str, ConcurrencyModel], ...]] = None
-    imbalance: float = 0.05
-    think_time: float = 3.0
-    online_refit: bool = True
-    preparation_periods: Optional[Tuple[Tuple[str, float], ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.controller not in ("dcm", "ec2", "predictive"):
-            raise ConfigurationError(f"unknown controller {self.controller!r}")
-        if isinstance(self.initial_soft, str):
-            object.__setattr__(
-                self, "initial_soft", SoftResourceConfig.parse(self.initial_soft)
-            )
-        if isinstance(self.models, dict):
-            object.__setattr__(self, "models", tuple(sorted(self.models.items())))
-        if isinstance(self.preparation_periods, dict):
-            object.__setattr__(
-                self,
-                "preparation_periods",
-                tuple(sorted(self.preparation_periods.items())),
-            )
-        if self.max_users < 1:
-            raise ConfigurationError(f"max_users must be >= 1, got {self.max_users}")
-
-    def payloads(self) -> Optional[List[Dict[str, Any]]]:
-        return None
-
-    def execute(self) -> Any:
-        from repro.analysis import experiments
-
-        return experiments._autoscale_core(self)
-
-    def reduce(self, results: List[Any]) -> Any:
-        return results[0]
-
-    def to_json_obj(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "controller": self.controller,
-            "trace": {"times": list(self.trace.times),
-                      "levels": list(self.trace.levels)},
-            "max_users": self.max_users,
-            "seed": self.seed,
-            "demand_scale": self.demand_scale,
-            "policy": _enc_policy(self.policy),
-            "initial_soft": str(self.initial_soft),
-            "models": None if self.models is None else {
-                tier: _enc_model(m) for tier, m in self.models
-            },
-            "imbalance": self.imbalance,
-            "think_time": self.think_time,
-            "online_refit": self.online_refit,
-            "preparation_periods": None if self.preparation_periods is None
-            else dict(self.preparation_periods),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Dict[str, Any]) -> "AutoscaleSpec":
-        from repro.scenario.spec import check_legacy_scheduler
-
-        check_legacy_scheduler(obj)
-        models = obj.get("models")
-        return cls(
-            controller=obj["controller"],
-            trace=WorkloadTrace(
-                tuple(obj["trace"]["times"]), tuple(obj["trace"]["levels"])
-            ),
-            max_users=obj["max_users"],
-            seed=obj["seed"],
-            demand_scale=obj["demand_scale"],
-            policy=None if obj.get("policy") is None
-            else ScalingPolicy(**obj["policy"]),
-            initial_soft=obj["initial_soft"],
-            models=None if models is None else {
-                tier: ConcurrencyModel(**m) for tier, m in models.items()
-            },
-            imbalance=obj["imbalance"],
-            think_time=obj["think_time"],
-            online_refit=obj["online_refit"],
-            preparation_periods=None if obj.get("preparation_periods") is None
-            else dict(obj["preparation_periods"]),
-        )
-
-
 #: Registry used by :func:`spec_from_json`.
 SPEC_KINDS: Dict[str, type] = {
     cls.kind: cls
     for cls in (SteadySpec, SweepSpec, StressSpec, TrainingSpec,
-                ValidationSpec, AutoscaleSpec)
+                ValidationSpec)
 }
 
 
@@ -677,6 +531,11 @@ def spec_from_json(text: str) -> _SpecBase:
     obj = json.loads(text)
     kind = obj.get("kind")
     cls = SPEC_KINDS.get(kind)
+    if kind == "autoscale":
+        raise ConfigurationError(
+            "an 'autoscale' spec is a ScenarioSpec: load it with "
+            "ScenarioSpec.from_json, or run it with `repro scenario run FILE`"
+        )
     if cls is None:
         raise ConfigurationError(f"unknown spec kind {kind!r}")
     return cls.from_json_obj(obj)

@@ -23,8 +23,8 @@ block calls ``stop()``.
 Construction order is load-bearing: random streams are name-keyed (so
 stream identity never depends on build order), but event-queue tie-breaks
 do depend on process creation order, and this root reproduces the
-pre-refactor ``_autoscale_core`` wiring bit-for-bit (see
-``tests/test_scenario.py`` golden digests).
+hand-wired autoscale harness it replaced bit-for-bit (see the golden
+digests in ``tests/test_scenario.py``).
 """
 
 from __future__ import annotations

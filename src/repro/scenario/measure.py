@@ -2,9 +2,7 @@
 
 Moved here from ``repro.analysis.experiments`` — measurement belongs next
 to the composition root that produces the systems it measures, and the
-examples/engine import it from the scenario layer directly.  The old
-``from repro.analysis.experiments import measure_steady_state`` path still
-works via a re-export.
+examples/engine import it from the scenario layer directly.
 """
 
 from __future__ import annotations

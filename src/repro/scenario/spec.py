@@ -31,11 +31,6 @@ from repro.workload.batched import DEFAULT_BATCHES
 from repro.workload.traces import WorkloadTrace
 
 
-def _canonical_json(obj: Any) -> str:
-    """Stable, compact JSON used for persistence and hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 #: Schema tag written by :meth:`ScenarioSpec.to_json_obj`.  v1 payloads
 #: (written before the fault subsystem) carry no ``schema`` key and no
 #: ``faults``/``resilience`` keys; v2 payloads predate the batched-workload
@@ -87,6 +82,18 @@ def _enc_policy(policy: Optional[ScalingPolicy]) -> Optional[Dict[str, Any]]:
     if policy is None:
         return None
     return {f.name: getattr(policy, f.name) for f in fields(policy)}
+
+
+def _dec_policy(obj: Optional[Dict[str, Any]]) -> Optional[ScalingPolicy]:
+    return None if obj is None else ScalingPolicy(**obj)
+
+
+def _dec_models(
+    obj: Optional[Dict[str, Any]],
+) -> Optional[Dict[str, ConcurrencyModel]]:
+    if obj is None:
+        return None
+    return {tier: ConcurrencyModel(**m) for tier, m in obj.items()}
 
 
 def _enc_trace(trace: Optional[WorkloadTrace]) -> Optional[Dict[str, Any]]:
@@ -354,11 +361,16 @@ class ScenarioSpec:
 
     def to_json(self) -> str:
         """Canonical JSON text for this scenario (stable across runs)."""
-        return _canonical_json(self.to_json_obj())
+        # Imported here: the lab package imports this module.
+        from repro.lab.store import canonical_json
+
+        return canonical_json(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: Dict[str, Any]) -> "ScenarioSpec":
         kind = obj.get("kind", cls.kind)
+        if kind == "autoscale":
+            return cls._from_autoscale_obj(obj)
         if kind != cls.kind:
             raise ConfigurationError(
                 f"expected a {cls.kind!r} spec, got kind {kind!r}"
@@ -372,7 +384,6 @@ class ScenarioSpec:
                 f"{list(_ACCEPTED_SCHEMAS)}"
             )
         check_legacy_scheduler(obj)
-        models = obj.get("models")
         return cls(
             hardware=obj["hardware"],
             soft=obj["soft"],
@@ -393,11 +404,8 @@ class ScenarioSpec:
             sample_interval=obj["sample_interval"],
             collector_history=obj.get("collector_history"),
             controller=obj.get("controller"),
-            policy=None if obj.get("policy") is None
-            else ScalingPolicy(**obj["policy"]),
-            models=None if models is None else {
-                tier: ConcurrencyModel(**m) for tier, m in models.items()
-            },
+            policy=_dec_policy(obj.get("policy")),
+            models=_dec_models(obj.get("models")),
             online_refit=obj["online_refit"],
             preparation_periods=None if obj.get("preparation_periods") is None
             else dict(obj["preparation_periods"]),
@@ -417,6 +425,29 @@ class ScenarioSpec:
                 PolicyConfig.from_json_obj(o) for o in obj.get("resilience", ())
             ),
             duration=obj.get("duration"),
+        )
+
+    @classmethod
+    def _from_autoscale_obj(cls, obj: Dict[str, Any]) -> "ScenarioSpec":
+        """Read a ``kind: "autoscale"`` payload, written when the Fig-5
+        harness had its own spec type: one controller replaying one trace
+        on 1/1/1, starting from the ``initial_soft`` allocation."""
+        check_legacy_scheduler(obj)
+        return cls(
+            hardware="1/1/1",
+            soft=obj["initial_soft"],
+            seed=obj["seed"],
+            demand_scale=obj["demand_scale"],
+            imbalance=obj["imbalance"],
+            controller=obj["controller"],
+            policy=_dec_policy(obj.get("policy")),
+            models=_dec_models(obj.get("models")),
+            online_refit=obj["online_refit"],
+            preparation_periods=obj.get("preparation_periods"),
+            workload="trace",
+            trace=_dec_trace(obj["trace"]),
+            max_users=obj["max_users"],
+            think_time=obj["think_time"],
         )
 
     @classmethod

@@ -59,6 +59,21 @@ _INF = float("inf")
 _Coef = tuple[float, float, float, float, float]
 
 
+def _checked_phi(n: int, raw: float) -> float:
+    """``raw`` as the inflation factor for ``n`` jobs, or raise
+    :class:`SimulationError` if it is unphysical."""
+    val = float(raw)
+    if n == 1 and abs(val - 1.0) > 1e-9:
+        raise SimulationError(f"inflation(1) must be 1.0, got {val}")
+    # One chained comparison: a bare ``val < 1`` lets NaN through, and a
+    # NaN phi arms zero-delay timers forever.
+    if not 1.0 - 1e-9 <= val < _INF:
+        raise SimulationError(
+            f"inflation({n}) = {val} is unphysical (must be finite and >= 1)"
+        )
+    return val
+
+
 class ContentionProcessor:
     """A CPU shared by concurrent jobs under a contention-inflation law.
 
@@ -67,11 +82,13 @@ class ContentionProcessor:
     env:
         Owning environment.
     inflation:
-        ``phi(n) -> float``; must satisfy ``phi(1) == 1`` and ``phi(n) >= 1``.
-        ``phi`` is sampled lazily and cached, so it must be pure.
+        ``phi(n) -> float``; must satisfy ``phi(1) == 1`` and ``phi(n) >= 1``
+        (finite).  ``phi`` is sampled lazily and cached, so it must be pure.
     peak_search_limit:
         Upper bound of the concurrency range scanned to find the peak
-        processing rate used for the utilization metric.
+        processing rate used for the utilization metric.  The scan checks
+        every value it samples, so a law that is unphysical anywhere in
+        ``1..peak_search_limit`` fails at construction.
     name:
         Label for diagnostics.
     """
@@ -117,16 +134,7 @@ class ContentionProcessor:
         """Cached inflation factor for ``n`` concurrent jobs."""
         val = self._phi_cache.get(n)
         if val is None:
-            val = float(self._inflation_fn(n))
-            if n == 1 and abs(val - 1.0) > 1e-9:
-                raise SimulationError(f"inflation(1) must be 1.0, got {val}")
-            # One chained comparison: a bare ``val < 1`` lets NaN through,
-            # and a NaN phi arms zero-delay timers forever.
-            if not 1.0 - 1e-9 <= val < _INF:
-                raise SimulationError(
-                    f"inflation({n}) = {val} is unphysical "
-                    f"(must be finite and >= 1)"
-                )
+            val = _checked_phi(n, self._inflation_fn(n))
             self._phi_cache[n] = val
         return val
 
@@ -147,7 +155,7 @@ class ContentionProcessor:
     def _find_peak(self, limit: int) -> tuple[float, int]:
         best, best_n = 0.0, 1
         for n in range(1, limit + 1):
-            rate = n / float(self._inflation_fn(n))
+            rate = n / _checked_phi(n, self._inflation_fn(n))
             if rate > best:
                 best, best_n = rate, n
         return best, best_n

@@ -58,11 +58,20 @@ class TestParser:
             build_parser().parse_args(["autoscale", "--controller", "magic"])
 
     def test_engine_flags_on_every_command(self):
-        for command in ("steady", "knee", "train", "predict", "autoscale",
-                        "sweep", "trace"):
+        # Every command that runs through the experiment engine.
+        for command in ("steady", "knee", "train", "sweep"):
             args = build_parser().parse_args([command, "--jobs", "3", "--no-cache"])
             assert args.jobs == 3
             assert args.no_cache is True
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--jobs", "2"],
+        ["predict", "--jobs", "2"],
+        ["autoscale", "--no-cache"],
+    ])
+    def test_engine_flags_rejected_off_the_engine(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_engine_flag_defaults(self):
         args = build_parser().parse_args(["sweep"])
@@ -133,6 +142,30 @@ class TestCommands:
         assert "spec sweep (sweep)" in out
         assert "engine telemetry" in out
 
+    def test_sweep_rejects_an_autoscale_spec_file(self, tmp_path):
+        path = tmp_path / "autoscale.json"
+        path.write_text(json.dumps({"kind": "autoscale"}), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="repro scenario run"):
+            main(["sweep", "--spec", str(path)])
+
+    def test_autoscale(self, capsys, tmp_path, monkeypatch):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "trained_models",
+                            lambda scale, seed: scaled_models())
+        path = tmp_path / "run.json"
+        code = main([
+            "autoscale", "--controller", "dcm", "--trace", "spike",
+            "--max-users", "60", "--demand-scale", str(SCALE),
+            "--out", str(path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "dcm on spike (60 peak users)" in out
+        assert "db VMs: [(0.0, 1)" in out
+        assert "engine telemetry" not in out
+        assert load_run(str(path))["controller"] == "dcm"
+
     def test_steady_uses_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         argv = ["steady", "--users", "80", "--demand-scale", "8",
@@ -165,14 +198,17 @@ class TestCommands:
 
 class TestPersistence:
     def _run(self):
-        from repro.runner import AutoscaleSpec, run
+        from repro.scenario import Deployment, ScenarioSpec
 
         trace = WorkloadTrace((0.0, 15.0, 25.0, 60.0, 90.0), (0.3, 0.3, 0.9, 0.9, 0.4))
-        spec = AutoscaleSpec(
-            controller="dcm", trace=trace, max_users=520, seed=4,
-            demand_scale=SCALE, models=scaled_models(),
+        spec = ScenarioSpec(
+            hardware="1/1/1", controller="dcm", models=scaled_models(),
+            workload="trace", trace=trace, max_users=520, seed=4,
+            demand_scale=SCALE,
         )
-        return run(spec, jobs=1, cache=False).value
+        with Deployment(spec) as dep:
+            dep.run()
+        return dep
 
     def test_csv_roundtrip(self, tmp_path):
         path = str(tmp_path / "t.csv")

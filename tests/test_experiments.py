@@ -6,27 +6,29 @@ reduced durations/scales so the whole file runs in well under a minute.
 letting tiny user populations saturate tiers.  Every experiment goes
 through the engine (:func:`repro.runner.run` on a frozen spec); the
 ``jobs=1, cache=False`` calls reproduce the removed serial wrappers
-bit-for-bit.
+bit-for-bit.  Autoscale runs are trace-driven
+:class:`~repro.scenario.ScenarioSpec` s run through
+:class:`~repro.scenario.Deployment`.
 """
 
 import pytest
 
-from repro.analysis.experiments import (
-    DB_TRAINING_LEVELS,
-    TRAINING_LEVELS,
-    build_system,
-    measure_steady_state,
-)
 from repro.errors import ConfigurationError
 from repro.model import ConcurrencyModel
 from repro.ntier import HardwareConfig, SoftResourceConfig
 from repro.runner import (
-    AutoscaleSpec,
     StressSpec,
     SweepSpec,
     TrainingSpec,
     ValidationSpec,
     run,
+)
+from repro.runner.specs import DB_TRAINING_LEVELS, TRAINING_LEVELS
+from repro.scenario import (
+    Deployment,
+    ScenarioSpec,
+    build_system,
+    measure_steady_state,
 )
 from repro.workload import JMeterGenerator, WorkloadTrace
 
@@ -153,6 +155,24 @@ class TestJmeterSweepAndValidation:
         assert optimal.throughput[-1] > 1.1 * oversized.throughput[-1]
 
 
+def run_autoscale(controller, trace, **kwargs):
+    """Run one trace-driven autoscale scenario on 1/1/1; returns the
+    stopped deployment."""
+    spec = ScenarioSpec(hardware="1/1/1", controller=controller,
+                        workload="trace", trace=trace, **kwargs)
+    with Deployment(spec) as dep:
+        dep.run()
+    return dep
+
+
+def records(dep, tier):
+    """All retained metric records for ``tier``, time-sorted."""
+    rows = []
+    for name in dep.collector.servers(tier):
+        rows.extend(dep.collector.recent(name, 0.0))
+    return sorted(rows, key=lambda r: r.timestamp)
+
+
 class TestAutoscaleRunner:
     def _trace(self):
         return WorkloadTrace(
@@ -160,46 +180,47 @@ class TestAutoscaleRunner:
         )
 
     def test_ec2_run_end_to_end(self):
-        outcome = _run(AutoscaleSpec(
-            controller="ec2", trace=self._trace(), max_users=520, seed=4,
+        dep = run_autoscale(
+            "ec2", self._trace(), max_users=520, seed=4,
             demand_scale=SCALE, models=scaled_models(),
-        ))
-        assert outcome.controller_name == "ec2"
-        assert outcome.duration == 140.0
-        assert len(outcome.request_log) > 500
-        assert outcome.vm_seconds >= 3 * 140.0  # at least the initial 1/1/1
+        )
+        assert dep.spec.controller == "ec2"
+        assert dep.duration == 140.0
+        assert len(dep.system.request_log) > 500
+        # At least the initial 1/1/1.
+        assert dep.hypervisor.billing.vm_seconds(dep.duration) >= 3 * 140.0
         # Scale-out happened under the burst.
-        assert max(c for _t, c in outcome.tier_vm_timeline("db")) >= 2
-        assert outcome.app_agent is None  # hardware-only: no APP-agent
+        assert max(c for _t, c in dep.controller.scaling_timeline("db")) >= 2
+        assert dep.app_agent is None  # hardware-only: no APP-agent
 
     def test_dcm_run_applies_concurrency_management(self):
-        outcome = _run(AutoscaleSpec(
-            controller="dcm", trace=self._trace(), max_users=520, seed=4,
+        dep = run_autoscale(
+            "dcm", self._trace(), max_users=520, seed=4,
             demand_scale=SCALE, models=scaled_models(),
-        ))
-        assert outcome.app_agent is not None
-        applies = [a for a in outcome.app_agent.actions if a.action == "apply"]
+        )
+        assert dep.app_agent is not None
+        applies = [a for a in dep.app_agent.actions if a.action == "apply"]
         assert applies, "DCM must re-allocate soft resources"
         # The initial plan pins the DB connection total near the knee.
-        assert outcome.system.soft.db_connections <= 80
+        assert dep.system.soft.db_connections <= 80
         # Records are retrievable per tier for the Fig 5 series.
-        assert outcome.records("db")
-        assert outcome.collector.servers("app")
+        assert records(dep, "db")
+        assert dep.collector.servers("app")
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigurationError):
-            AutoscaleSpec(
-                controller="magic", trace=self._trace(), max_users=10,
-                models=scaled_models(),
+            ScenarioSpec(
+                controller="magic", workload="trace", trace=self._trace(),
+                max_users=10, models=scaled_models(),
             )
 
     def test_runs_are_deterministic_per_seed(self):
         kwargs = dict(
-            controller="dcm", trace=self._trace(), max_users=260, seed=9,
-            demand_scale=SCALE, models=scaled_models(),
+            max_users=260, seed=9, demand_scale=SCALE, models=scaled_models(),
         )
-        a = _run(AutoscaleSpec(**kwargs))
-        b = _run(AutoscaleSpec(**kwargs))
-        assert len(a.request_log) == len(b.request_log)
-        assert a.request_log[:50] == b.request_log[:50]
-        assert a.tier_vm_timeline("db") == b.tier_vm_timeline("db")
+        a = run_autoscale("dcm", self._trace(), **kwargs)
+        b = run_autoscale("dcm", self._trace(), **kwargs)
+        assert len(a.system.request_log) == len(b.system.request_log)
+        assert a.system.request_log[:50] == b.system.request_log[:50]
+        assert (a.controller.scaling_timeline("db")
+                == b.controller.scaling_timeline("db"))

@@ -67,6 +67,33 @@ class TestRunSuite:
         assert "scale_normalized" not in report["headline"]
         assert set(report["scale"]) == {"fig5-100k"}  # quick: no fig5-1m
 
+    def test_calibration_is_the_median_of_interleaved_samples(
+        self, tiny_suite, monkeypatch
+    ):
+        order = []
+        samples = iter([30.0, 10.0, 20.0])
+
+        def sampler(ops):
+            order.append("calibrate")
+            return next(samples)
+
+        def fig5(quick):
+            order.append("fig5")
+            return (1_000, 0.01, 40)
+
+        monkeypatch.setattr(suite, "calibrate", sampler)
+        monkeypatch.setattr(kernel, "bench_fig5", fig5)
+        monkeypatch.setattr(kernel, "bench_fig5_100k",
+                            lambda: order.append("scale") or (2_000, 0.01, 80))
+        report = suite.run_suite(quick=True)
+        # One sample after each bench group: disarmed, armed, scale.
+        assert order == ["fig5", "calibrate", "fig5", "calibrate",
+                         "scale", "calibrate"]
+        assert report["calibration_mops"] == 20.0
+        assert report["headline"]["scale_requests_normalized"] == (
+            pytest.approx(80 / 0.01 / 20.0, rel=1e-3)
+        )
+
     def test_end_to_end_rows_count_requests(self, tiny_suite):
         report = suite.run_suite(quick=True)
         rows = [report["suites"][label]["fig5-autoscale"]

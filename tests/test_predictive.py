@@ -5,16 +5,20 @@ import pytest
 from repro.control import PredictiveDCMController, TrendForecaster
 from repro.errors import ConfigurationError
 from repro.model import ConcurrencyModel
-from repro.runner import AutoscaleSpec, run
+from repro.scenario import Deployment, ScenarioSpec
 from repro.workload import WorkloadTrace
 
 SCALE = 8.0
 
 
 def run_autoscale(controller, trace, **kwargs):
-    """Serial, uncached engine run (the removed wrapper's contract)."""
-    spec = AutoscaleSpec(controller=controller, trace=trace, **kwargs)
-    return run(spec, jobs=1, cache=False).value
+    """Run one trace-driven autoscale scenario on 1/1/1; returns the
+    stopped deployment."""
+    spec = ScenarioSpec(hardware="1/1/1", controller=controller,
+                        workload="trace", trace=trace, **kwargs)
+    with Deployment(spec) as dep:
+        dep.run()
+    return dep
 
 
 def scaled_models():
@@ -91,7 +95,8 @@ class TestPredictiveController:
         predictive = run_autoscale("predictive", **common)
 
         def first_scaleout(run, tier):
-            times = [t for t, c in run.tier_vm_timeline(tier) if c > 1]
+            times = [t for t, c in run.controller.scaling_timeline(tier)
+                     if c > 1]
             return min(times) if times else float("inf")
 
         assert isinstance(predictive.controller, PredictiveDCMController)

@@ -3,7 +3,6 @@ simulator."""
 
 import pytest
 
-from repro.analysis.experiments import build_system, measure_steady_state
 from repro.errors import ModelError
 from repro.model.predictor import (
     OperatingPoint,
@@ -14,6 +13,7 @@ from repro.model.predictor import (
 )
 from repro.ntier import HardwareConfig, SoftResourceConfig
 from repro.ntier.contention import MYSQL_CONTENTION, TOMCAT_CONTENTION
+from repro.scenario import build_system, measure_steady_state
 from repro.workload import RubbosGenerator
 
 

@@ -1,5 +1,7 @@
 """Tests for the experiment engine: specs, caching, parallel determinism."""
 
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -9,7 +11,6 @@ from repro.control import ScalingPolicy
 from repro.errors import ConfigurationError
 from repro.model import ConcurrencyModel
 from repro.runner import (
-    AutoscaleSpec,
     ResultCache,
     SteadySpec,
     StressSpec,
@@ -21,6 +22,7 @@ from repro.runner import (
     run_many,
     spec_from_json,
 )
+from repro.scenario import ScenarioSpec
 from repro.workload import WorkloadTrace
 
 SCALE = 8.0
@@ -31,20 +33,48 @@ SWEEP = SweepSpec(
 )
 
 
+MODELS = {
+    "app": ConcurrencyModel(s0=0.02, alpha=0.007, beta=3e-5, tier="app"),
+    "db": ConcurrencyModel(s0=0.013, alpha=0.009, beta=3e-6, tier="db"),
+}
+
+
 def tiny_autoscale_spec():
-    return AutoscaleSpec(
-        controller="dcm",
-        trace=WorkloadTrace((0.0, 15.0, 40.0, 60.0), (0.3, 0.3, 0.8, 0.4)),
-        max_users=300,
+    return ScenarioSpec(
+        hardware="1/1/1",
         seed=4,
         demand_scale=SCALE,
+        controller="dcm",
         policy=ScalingPolicy(consecutive_low_periods=2),
-        models={
-            "app": ConcurrencyModel(s0=0.02, alpha=0.007, beta=3e-5, tier="app"),
-            "db": ConcurrencyModel(s0=0.013, alpha=0.009, beta=3e-6, tier="db"),
-        },
+        models=MODELS,
         preparation_periods={"app": 5.0, "db": 8.0},
+        workload="trace",
+        trace=WorkloadTrace((0.0, 15.0, 40.0, 60.0), (0.3, 0.3, 0.8, 0.4)),
+        max_users=300,
     )
+
+
+def legacy_autoscale_obj():
+    """What the retired ``kind: "autoscale"`` spec wrote for
+    :func:`tiny_autoscale_spec`."""
+    return {
+        "kind": "autoscale",
+        "controller": "dcm",
+        "trace": {"times": [0.0, 15.0, 40.0, 60.0],
+                  "levels": [0.3, 0.3, 0.8, 0.4]},
+        "max_users": 300,
+        "seed": 4,
+        "demand_scale": SCALE,
+        "policy": dataclasses.asdict(ScalingPolicy(consecutive_low_periods=2)),
+        "initial_soft": "1000/100/80",
+        "models": {tier: {"s0": m.s0, "alpha": m.alpha, "beta": m.beta,
+                          "gamma": m.gamma, "tier": m.tier}
+                   for tier, m in MODELS.items()},
+        "imbalance": 0.05,
+        "think_time": 3.0,
+        "online_refit": True,
+        "preparation_periods": {"app": 5.0, "db": 8.0},
+    }
 
 
 ALL_SPECS = [
@@ -56,7 +86,6 @@ ALL_SPECS = [
         hardware="1/2/1", soft_configs=("1000/100/18", "1000/100/80"),
         user_levels=(30, 60), seed=5, demand_scale=SCALE,
     ),
-    tiny_autoscale_spec(),
 ]
 
 
@@ -200,16 +229,35 @@ class TestSpecs:
         with pytest.raises(ConfigurationError):
             SteadySpec(workload="locust")
         with pytest.raises(ConfigurationError):
-            AutoscaleSpec(controller="magic")
+            ScenarioSpec(controller="magic")
 
     def test_legacy_scheduler_key_accepted_and_dropped(self):
-        spec = AutoscaleSpec(controller="ec2", max_users=20)
-        obj = spec.to_json_obj()
+        obj = legacy_autoscale_obj()
         for legacy in ("heap", "calendar"):
-            assert AutoscaleSpec.from_json_obj(
-                dict(obj, scheduler=legacy)) == spec
+            assert ScenarioSpec.from_json_obj(
+                dict(obj, scheduler=legacy)) == tiny_autoscale_spec()
         with pytest.raises(ConfigurationError, match="splay"):
-            AutoscaleSpec.from_json_obj(dict(obj, scheduler="splay"))
+            ScenarioSpec.from_json_obj(dict(obj, scheduler="splay"))
+
+    def test_legacy_autoscale_json_is_a_scenario(self):
+        spec = ScenarioSpec.from_json_obj(legacy_autoscale_obj())
+        assert spec == tiny_autoscale_spec()
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        with pytest.raises(ConfigurationError, match="repro scenario run"):
+            spec_from_json(json.dumps(legacy_autoscale_obj()))
+
+    @pytest.mark.parametrize("spec", [
+        SteadySpec(users=40, seed=3),
+        TrainingSpec(tier="db", levels=(5, 10)),
+    ], ids=lambda s: s.kind)
+    def test_cache_key_is_the_legacy_construction(self, spec):
+        from repro import __version__
+
+        legacy = hashlib.sha256(
+            spec.to_json().encode("utf-8") + b"\0"
+            + __version__.encode("utf-8")
+        ).hexdigest()
+        assert spec.cache_key() == legacy
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -230,25 +278,18 @@ class TestEngine:
         steady = SteadySpec(
             users=40, seed=3, demand_scale=SCALE, warmup=1.0, duration=3.0
         )
-        auto = tiny_autoscale_spec()
+        stress = StressSpec(tier="db", concurrencies=(2, 36), seed=1,
+                            duration=4.0)
         res = run_many(
-            [steady, auto], jobs=2, cache=True,
+            [steady, stress], jobs=2, cache=True,
             cache_dir=str(tmp_path / "cache"),
         )
-        steady_res, auto_run = res.value
+        steady_res, stress_points = res.value
         assert steady_res.steady.completed > 0
-        assert auto_run.duration == 60.0
-        # The in-process autoscale run counts as one uncached point.
-        assert res.telemetry.points == 2
-        assert res.telemetry.cache_misses == 2
-
-    def test_autoscale_not_cached(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        spec = tiny_autoscale_spec()
-        first = run(spec, jobs=1, cache=True, cache_dir=cache_dir)
-        second = run(spec, jobs=1, cache=True, cache_dir=cache_dir)
-        assert first.telemetry.cache_misses == 1
-        assert second.telemetry.cache_misses == 1
+        assert [p.target_concurrency for p in stress_points] == [2, 36]
+        # One shared point pool: 1 steady point + 2 stress points.
+        assert res.telemetry.points == 3
+        assert res.telemetry.cache_misses == 3
 
     def test_telemetry_render(self, tmp_path):
         res = run(SWEEP, jobs=2, cache=True, cache_dir=str(tmp_path / "c"))

@@ -7,9 +7,10 @@ pre-scenario wiring (golden digests), the ``online_refit`` flag, and the
 ``repro scenario run`` CLI entry point.
 """
 
+import json
+
 import pytest
 
-from repro.analysis.experiments import _autoscale_core, measure_steady_state
 from repro.check import config as check_config
 from repro.cli import main
 from repro.control import ScalingPolicy
@@ -19,13 +20,13 @@ from repro.monitor import TierStats
 from repro.ntier import HardwareConfig
 from repro.ntier.contention import ContentionModel
 from repro.perf import autoscale_digest
-from repro.runner import AutoscaleSpec
 from repro.scenario import (
     CONTROLLERS,
     WORKLOADS,
     Deployment,
     ScenarioSpec,
     controller_names,
+    measure_steady_state,
     register_controller,
     register_workload,
     resolve_controller,
@@ -302,13 +303,14 @@ class TestTierStatsDataclass:
 
 
 class TestGoldenEquivalence:
-    """The scenario-layer rewire of ``_autoscale_core`` is bit-identical.
+    """The composition root reproduces the hand-wired autoscale harness
+    bit-for-bit.
 
-    These digests were captured from the pre-refactor wiring (manual
-    broker/fleet/agent/controller assembly inside ``_autoscale_core``)
-    with the sanitizer armed; the composition root must reproduce them
-    exactly.  If a deliberate change to assembly order makes these fail,
-    update them in the same commit and say why in the message.
+    These digests were captured from the pre-scenario wiring (manual
+    broker/fleet/agent/controller assembly) with the sanitizer armed; the
+    composition root must reproduce them exactly.  If a deliberate change
+    to assembly order makes these fail, update them in the same commit and
+    say why in the message.
     """
 
     GOLDEN = {
@@ -317,17 +319,61 @@ class TestGoldenEquivalence:
     }
 
     def spec(self, controller):
-        return AutoscaleSpec(
-            controller=controller, trace=sine_trace(150.0, 75.0, 0.25, 1.0),
+        return ScenarioSpec(
+            hardware="1/1/1", controller=controller, models=scaled_models(),
+            workload="trace", trace=sine_trace(150.0, 75.0, 0.25, 1.0),
             max_users=400, seed=11, demand_scale=SCALE,
-            models=scaled_models(),
         )
+
+    def legacy_obj(self, controller):
+        """The ``kind: "autoscale"`` JSON the retired autoscale spec type
+        wrote for :meth:`spec`."""
+        trace = sine_trace(150.0, 75.0, 0.25, 1.0)
+        return json.loads(json.dumps({
+            "kind": "autoscale",
+            "controller": controller,
+            "trace": {"times": list(trace.times),
+                      "levels": list(trace.levels)},
+            "max_users": 400,
+            "seed": 11,
+            "demand_scale": SCALE,
+            "policy": None,
+            "initial_soft": "1000/100/80",
+            "models": {
+                tier: {"s0": m.s0, "alpha": m.alpha, "beta": m.beta,
+                       "gamma": m.gamma, "tier": m.tier}
+                for tier, m in scaled_models().items()
+            },
+            "imbalance": 0.05,
+            "think_time": 3.0,
+            "online_refit": True,
+            "preparation_periods": None,
+        }))
+
+    @staticmethod
+    def digest(spec):
+        with check_config.override(True):
+            with Deployment(spec) as dep:
+                dep.run()
+        return autoscale_digest(dep)
 
     @pytest.mark.parametrize("controller", ["dcm", "ec2"])
     def test_digest_matches_pre_refactor_wiring(self, controller):
-        with check_config.override(True):
-            run = _autoscale_core(self.spec(controller))
-        assert autoscale_digest(run) == self.GOLDEN[controller]
+        assert self.digest(self.spec(controller)) == self.GOLDEN[controller]
+
+    @pytest.mark.parametrize("scheduler", [None, "calendar"])
+    def test_legacy_autoscale_json_loads_and_replays(self, scheduler):
+        obj = self.legacy_obj("dcm")
+        if scheduler is not None:
+            obj["scheduler"] = scheduler
+        spec = ScenarioSpec.from_json_obj(obj)
+        assert spec == self.spec("dcm")
+        assert self.digest(spec) == self.GOLDEN["dcm"]
+
+    def test_legacy_autoscale_json_in_a_manifest(self):
+        from repro.lab.manifest import spec_from_json_obj
+
+        assert spec_from_json_obj(self.legacy_obj("ec2")) == self.spec("ec2")
 
 
 class TestScenarioCLI:

@@ -53,9 +53,8 @@ def test_negative_work_rejected():
 
 def test_inflation_must_be_one_at_single_thread():
     env = Environment()
-    cpu = ContentionProcessor(env, lambda n: 2.0)
-    with pytest.raises(SimulationError):
-        cpu.execute(1.0)
+    with pytest.raises(SimulationError, match=r"inflation\(1\)"):
+        ContentionProcessor(env, lambda n: 2.0)
 
 
 def test_two_equal_jobs_without_contention_finish_together_at_work():
@@ -250,15 +249,32 @@ def test_conservation_all_submitted_jobs_complete():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_inflation_is_rejected(bad):
     """A NaN phi passed both range checks and armed zero-delay timers
-    forever (the clock never left t=0); it must fail at the first use."""
+    forever (the clock never left t=0).  Inside the peak scan it fails at
+    construction; past the scan, at the first use."""
     env = Environment()
-    cpu = ContentionProcessor(env, lambda n: 1.0 if n == 1 else bad,
+    with pytest.raises(SimulationError, match=r"inflation\(2\)"):
+        ContentionProcessor(env, lambda n: 1.0 if n == 1 else bad,
+                            peak_search_limit=4)
+    cpu = ContentionProcessor(env, lambda n: 1.0 if n <= 4 else bad,
                               peak_search_limit=4)
     with pytest.raises(SimulationError):
-        cpu.phi(2)
-    cpu.execute(1.0)
+        cpu.phi(5)
+    for _ in range(4):
+        cpu.execute(1.0)
     with pytest.raises(SimulationError):
-        cpu.execute(1.0)  # n = 2 needs phi(2)
+        cpu.execute(1.0)  # n = 5 needs phi(5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.5])
+def test_unphysical_inflation_anywhere_in_the_peak_scan_fails_at_construction(
+    bad,
+):
+    """The peak scan samples phi at every n <= peak_search_limit; a bad
+    value there is an error at construction, not a latent one at the n
+    the run first reaches."""
+    env = Environment()
+    with pytest.raises(SimulationError, match=r"inflation\(2048\)"):
+        ContentionProcessor(env, lambda n: bad if n == 2048 else 1.0)
 
 
 @pytest.mark.parametrize("work", [float("nan"), float("inf")])
@@ -377,6 +393,6 @@ def test_fig5_scenario_event_budget():
     (320 320 when every completion went through the heap)."""
     from repro.perf import run_fig5
 
-    run = run_fig5()
-    assert len(run.request_log) == 10_791
-    assert run.system.env.events_scheduled <= 260_000
+    dep = run_fig5()
+    assert len(dep.system.request_log) == 10_791
+    assert dep.env.events_scheduled <= 260_000
